@@ -1,6 +1,7 @@
 #include "core/algorithm_a.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 
 #include "core/packdb.hpp"
@@ -68,50 +69,107 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
   std::vector<TopK<Hit>> tops = engine.make_tops(local_queries.size());
 
   // ---- A2: ring rotation with masked one-sided transport ----
-  // The shard's candidate index is built once here and ships with the shard
-  // bytes, so all p ranks the rotation delivers it to merge-join one
-  // enumeration instead of re-walking the proteins. Each entry costs one
-  // fragment-mass computation, the same unit as Algorithm B's m/z sort.
-  const CandidateIndex local_index =
-      CandidateIndex::build(local_db, engine.config());
-  comm.clock().charge_compute(static_cast<double>(local_index.size()) *
-                              cost.seconds_per_mz);
-  // Open search ships a fragment-ion index next to the candidate index so
-  // every rank the rotation delivers the shard to gets indexed lookups
-  // instead of exhaustive enumeration. Build cost is one mass computation
-  // per posting (= per theoretical ion), the same unit as the index build.
-  const bool ship_fragment =
-      engine.config().open_search() &&
-      engine.config().candidate_source != CandidateSourceKind::kMassWindow;
+  // The ring carries the paper's plain shard image — residues only, O(N/p)
+  // bytes. Each rank turns every shard it scores back into a CandidateIndex
+  // holding only the candidates its own hypotheses can reach, at one
+  // fragment-mass computation per enumerated candidate (the unit of every
+  // index build). Shipping the full index instead would cost ~21 B of
+  // transport per entry, far more than the rebuild on the paper's network
+  // (DESIGN.md §5m).
+  //
+  // Indexed open search is the exception: its fragment-ion postings cost one
+  // mass computation per theoretical ion, so the owner builds the candidate
+  // and fragment indexes once and both ride in the image.
+  const SearchConfig& config = engine.config();
+  const bool ship_index =
+      config.open_search() &&
+      config.candidate_source != CandidateSourceKind::kMassWindow;
+  CandidateIndex local_index;  // the full index: shipped, or routing's input
+  if (ship_index || options.mass_routing) {
+    local_index = CandidateIndex::build(local_db, config);
+    comm.clock().charge_compute(static_cast<double>(local_index.size()) *
+                                cost.seconds_per_mz);
+  }
+  // Build cost is one mass computation per posting (= per theoretical ion),
+  // the same unit as the index build.
   FragmentIndex local_fragment;
-  if (ship_fragment) {
+  if (ship_index) {
     local_fragment =
-        FragmentIndex::build(local_db, local_index, engine.config().bin_width);
+        FragmentIndex::build(local_db, local_index, config.bin_width);
     comm.clock().charge_compute(
         static_cast<double>(local_fragment.posting_count()) *
         cost.seconds_per_mz);
   }
-  // Mass routing (shared with the serving ring): the shard's bucketed mass
-  // histogram rides in the pack trailer, and a collective exchange leaves
-  // every rank holding the identical global shard mass map before the
-  // rotation starts — routing decisions are then pure functions of frozen
-  // global inputs.
+  // Mass routing (shared with the serving ring): a collective exchange of
+  // bucketed shard mass histograms leaves every rank holding the identical
+  // global shard mass map before the rotation starts — routing decisions
+  // are then pure functions of frozen global inputs. The exchange is the
+  // only place the histogram travels; no reader wants it in the image.
   ShardMassMap shard_map;
-  std::vector<char> local_pack;
-  if (options.mass_routing) {
-    const MassHistogram local_histogram = MassHistogram::build(local_index);
-    local_pack = ship_fragment
-                     ? pack_database(local_db, local_index, local_histogram,
-                                     local_fragment)
-                     : pack_database(local_db, local_index, local_histogram);
-    shard_map = ShardMassMap::exchange(comm, local_histogram);
-  } else {
-    local_pack = ship_fragment
-                     ? pack_database(local_db, local_index, local_fragment)
-                     : pack_database(local_db, local_index);
-  }
+  if (options.mass_routing)
+    shard_map = ShardMassMap::exchange(comm, MassHistogram::build(local_index));
+  const std::vector<char> local_pack =
+      ship_index ? pack_database(local_db, local_index, local_fragment)
+                 : pack_database(local_db);
+  if (!ship_index) local_index = CandidateIndex();  // routing is done with it
   comm.charge_alloc(local_pack.size());  // D_local (window)
   sim::Window window(comm, local_pack);
+
+  // Score one shard (`fetched`, or this rank's own when null) for `queries`.
+  // A plain image is re-enumerated through the windowed rebuild into storage
+  // every step reuses. That storage is a fourth buffer next to D_local,
+  // D_recv and D_comp: the rank's memory account carries its capacity, from
+  // the step it grows to the end of the run, like the ring buffers. Under a
+  // memory budget the shard is rebuilt and scored in protein slices whose
+  // entries fit the rank's headroom plus the storage already held; a
+  // protein that overflows a slice is walked again (and charged again) at
+  // the start of the next.
+  CandidateIndex window_index;
+  std::size_t window_index_bytes = 0;  // capacity charged so far
+  auto score_shard = [&](const PackedShard* fetched,
+                         const PreparedQueries& queries,
+                         std::span<TopK<Hit>> block_tops) {
+    const ProteinDatabase& shard_db = fetched ? fetched->db : local_db;
+    ShardSearchStats stats;
+    if (ship_index) {
+      // A fetched legacy pack without index or fragment record passes null;
+      // the kernel builds (and counts) what it needs.
+      const CandidateIndex* index =
+          fetched ? (fetched->has_index ? &fetched->index : nullptr)
+                  : &local_index;
+      const FragmentIndex* fragment =
+          fetched ? (fetched->has_fragment ? &fetched->fragment : nullptr)
+                  : &local_fragment;
+      stats = engine.search_shard(shard_db, queries, block_tops, nullptr,
+                                  index, fragment);
+    } else {
+      const std::size_t budget = options.memory_budget_bytes;
+      std::size_t max_entries = std::numeric_limits<std::size_t>::max();
+      if (budget != 0) {
+        const std::size_t used = std::min(comm.current_memory(), budget);
+        max_entries =
+            (budget - used + window_index_bytes) / sizeof(IndexedCandidate);
+      }
+      std::size_t enumerated = 0;
+      CandidateIndex::WindowedSlice slice;
+      while (slice.next_protein < shard_db.proteins.size()) {
+        slice = window_index.rebuild_windowed(shard_db, config,
+                                              queries.sorted_masses,
+                                              slice.next_protein, max_entries);
+        enumerated += slice.enumerated;
+        if (window_index.reserved_bytes() > window_index_bytes) {
+          comm.charge_alloc(window_index.reserved_bytes() - window_index_bytes);
+          window_index_bytes = window_index.reserved_bytes();
+        }
+        stats += engine.search_shard(shard_db, queries, block_tops, nullptr,
+                                     &window_index);
+      }
+      comm.clock().charge_compute(static_cast<double>(enumerated) *
+                                  cost.seconds_per_mz);
+    }
+    comm.clock().charge_compute(kernel_cost_seconds(stats, cost));
+    return stats;
+  };
 
   std::size_t max_shard = 0;
   for (int r = 0; r < p; ++r)
@@ -176,8 +234,7 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
       // could hide a modified match.
       const bool need =
           shard_map.needed(j, std::span<const double>(prepared.sorted_masses),
-                           engine.config().window_below(),
-                           engine.config().window_above());
+                           config.window_below(), config.window_above());
       shard_needed[static_cast<std::size_t>(j)] = need ? 1 : 0;
       if (need)
         ++visited;
@@ -234,23 +291,13 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
 
     PackedShard fetched;
     if (current != rank) fetched = unpack_shard(comp_buffer);
-    const ProteinDatabase& shard_db = current == rank ? local_db : fetched.db;
-    const CandidateIndex* shard_index =
-        current == rank ? &local_index
-                        : (fetched.has_index ? &fetched.index : nullptr);
-    // A fetched legacy pack carries no fragment record → null → the kernel
-    // falls back to exhaustive open enumeration for that shard.
-    const FragmentIndex* shard_fragment =
-        current == rank ? (ship_fragment ? &local_fragment : nullptr)
-                        : (fetched.has_fragment ? &fetched.fragment : nullptr);
-    const ShardSearchStats stats = engine.search_shard(
-        shard_db, prepared, tops, nullptr, shard_index, shard_fragment);
-    comm.clock().charge_compute(kernel_cost_seconds(stats, cost));
+    const ShardSearchStats stats = score_shard(
+        current == rank ? nullptr : &fetched, prepared, tops);
     comm.bump("candidates", stats.candidates_evaluated);
     comm.bump("prefiltered", stats.candidates_prefiltered);
     comm.bump("offers", stats.hits_offered);
     comm.bump("ions", stats.ions_built);
-    if (engine.config().open_search())
+    if (config.open_search())
       comm.bump("postings", stats.postings_scanned);
 
     if (options.mask && prefetch.request.active) {
@@ -315,7 +362,7 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
           for (int j = 0; j < p; ++j) {
             const bool need = shard_map.needed(
                 j, std::span<const double>(orphan_prepared.sorted_masses),
-                engine.config().window_below(), engine.config().window_above());
+                config.window_below(), config.window_above());
             orphan_needed[static_cast<std::size_t>(j)] = need ? 1 : 0;
             if (need)
               ++visited;
@@ -339,28 +386,17 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
             fetch.window->wait(fetch.request);
             fetched = unpack_shard(recv_buffer);
           }
-          const ProteinDatabase& shard_db =
-              shard == rank ? local_db : fetched.db;
-          const CandidateIndex* shard_index =
-              shard == rank ? &local_index
-                            : (fetched.has_index ? &fetched.index : nullptr);
-          const FragmentIndex* shard_fragment =
-              shard == rank
-                  ? (ship_fragment ? &local_fragment : nullptr)
-                  : (fetched.has_fragment ? &fetched.fragment : nullptr);
-          const ShardSearchStats stats =
-              engine.search_shard(shard_db, orphan_prepared, orphan_tops,
-                                  nullptr, shard_index, shard_fragment);
-          comm.clock().charge_compute(kernel_cost_seconds(stats, cost));
+          const ShardSearchStats stats = score_shard(
+              shard == rank ? nullptr : &fetched, orphan_prepared, orphan_tops);
           comm.bump("candidates", stats.candidates_evaluated);
           comm.bump("prefiltered", stats.candidates_prefiltered);
           comm.bump("ions", stats.ions_built);
-          if (engine.config().open_search())
+          if (config.open_search())
             comm.bump("postings", stats.postings_scanned);
         }
 
         QueryHits orphan_hits = engine.finalize(orphan_tops);
-        if (engine.config().open_search()) {
+        if (config.open_search()) {
           std::uint64_t misses = 0;
           for (const std::vector<Hit>& hits : orphan_hits)
             if (hits.empty()) ++misses;
@@ -394,7 +430,7 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
     QueryHits local_hits = engine.finalize(tops);
     // Index-miss queries (no candidate cleared the vote gate anywhere) are
     // the de novo fallback lane's input; the counter lets callers size it.
-    if (engine.config().open_search()) {
+    if (config.open_search()) {
       std::uint64_t misses = 0;
       for (const std::vector<Hit>& hits : local_hits)
         if (hits.empty()) ++misses;

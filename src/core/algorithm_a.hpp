@@ -12,7 +12,11 @@
 //   A3. Report each local query's top-τ list.
 //
 // Three O(N/p) database buffers exist at any time: D_local (exposed via the
-// RMA window), D_recv and D_comp — exactly the paper's memory layout.
+// RMA window), D_recv and D_comp — exactly the paper's memory layout. The
+// ring moves plain shard images; each rank also holds one reusable
+// CandidateIndex of just the entries its queries can reach, rebuilt from
+// every shard on receipt, whose storage is charged like the ring buffers
+// (DESIGN.md §5m).
 #pragma once
 
 #include <string>
@@ -38,10 +42,14 @@ struct AlgorithmAOptions {
   /// per-shard mass histograms up front, then skip ring steps whose shard
   /// provably holds no candidate for this rank's query block — a constant
   /// routing-decision charge instead of a fetch plus a scoring pass. Hits
-  /// are bit-identical with routing on or off.
-  bool mass_routing = true;
+  /// are bit-identical with routing on or off. Off by default: A's chunked
+  /// partition gives every shard the whole mass range, so the router skips
+  /// nothing and its index build and exchange are pure overhead.
+  bool mass_routing = false;
   /// Per-rank memory budget in bytes (the paper's 1 GB/process cap);
-  /// 0 disables. Exceeding it throws OutOfMemoryBudget.
+  /// 0 disables. Exceeding it throws OutOfMemoryBudget. Under a budget each
+  /// shard's windowed candidate index is built and scored in slices that fit
+  /// the rank's headroom (DESIGN.md §5m).
   std::size_t memory_budget_bytes = 0;
 };
 

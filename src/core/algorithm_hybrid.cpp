@@ -32,6 +32,7 @@ HybridResult run_algorithm_hybrid(const sim::Runtime& runtime,
   AlgorithmAOptions ring_options;
   ring_options.mask = options.mask;
   ring_options.fence_per_iteration = options.fence_per_iteration;
+  ring_options.memory_budget_bytes = options.memory_budget_bytes;
 
   QueryHits all_hits(queries.size());
 

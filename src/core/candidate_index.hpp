@@ -17,6 +17,8 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "core/config.hpp"
@@ -65,6 +67,35 @@ class CandidateIndex {
   static CandidateIndex build(const ProteinDatabase& shard,
                               const SearchConfig& config);
 
+  /// What rebuild_windowed() walked: the candidates it enumerated (the
+  /// unit the virtual clock charges) and where the next slice starts.
+  struct WindowedSlice {
+    std::size_t enumerated = 0;
+    std::uint32_t next_protein = 0;  ///< == shard size once the shard is done
+  };
+
+  /// Replace this index's contents with the candidates of `shard` (under
+  /// `config`'s enumeration parameters) that the mass-sorted hypotheses
+  /// `sorted_masses` can reach, reusing the entry storage. An entry is kept
+  /// iff the kernel `config` selects would visit it for some hypothesis m,
+  /// tested with that kernel's own predicate: M in [m - window_below,
+  /// m + window_above] for open search, m in [M - tolerance, M + tolerance]
+  /// for narrow search. Kept entries are sorted like build()'s. An entry no
+  /// hypothesis reaches has no effect on the kernel, so searching the
+  /// windowed index gives the hits and ShardSearchStats of the full one.
+  ///
+  /// Proteins are walked from `first_protein` on. The walk stops before the
+  /// protein that would take the kept entries past `max_entries` (a slice
+  /// always keeps its first protein), so a rank can score a shard in slices
+  /// whose indexes fit its memory; candidates of different proteins are
+  /// independent, so the slices' hits and counters add up to the whole
+  /// shard's. Storage never grows past `max_entries` entries unless the
+  /// first protein alone needs more. With no hypotheses nothing is walked.
+  WindowedSlice rebuild_windowed(
+      const ProteinDatabase& shard, const SearchConfig& config,
+      std::span<const double> sorted_masses, std::uint32_t first_protein = 0,
+      std::size_t max_entries = std::numeric_limits<std::size_t>::max());
+
   const CandidateIndexParams& params() const { return params_; }
   const std::vector<IndexedCandidate>& entries() const { return entries_; }
   bool empty() const { return entries_.empty(); }
@@ -73,6 +104,10 @@ class CandidateIndex {
   /// Bytes this index occupies in memory (for simulated memory accounting).
   std::size_t byte_size() const {
     return entries_.size() * sizeof(IndexedCandidate);
+  }
+  /// Bytes of entry storage held, kept or not (what rebuild_windowed reuses).
+  std::size_t reserved_bytes() const {
+    return entries_.capacity() * sizeof(IndexedCandidate);
   }
 
  private:

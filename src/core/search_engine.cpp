@@ -341,6 +341,7 @@ ShardSearchStats SearchEngine::search_shard(
   CandidateIndex local;
   if (index == nullptr) {
     local = CandidateIndex::build(shard, config_);
+    stats.index_entries_built = local.size();
     index = &local;
   } else {
     MSP_CHECK_MSG(index->params() == CandidateIndexParams::from(config_),
@@ -348,9 +349,11 @@ ShardSearchStats SearchEngine::search_shard(
                   "parameters than this engine's config");
   }
 
-  if (config_.open_search())
-    return search_shard_open(shard, queries, tops, per_query_candidates,
-                             *index, fragment);
+  if (config_.open_search()) {
+    stats += search_shard_open(shard, queries, tops, per_query_candidates,
+                               *index, fragment);
+    return stats;
+  }
 
   const std::vector<IndexedCandidate>& entries = index->entries();
   const double delta = config_.tolerance_da;

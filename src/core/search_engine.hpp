@@ -68,6 +68,10 @@ struct ShardSearchStats {
   /// indexed source's whole per-candidate cost; always 0 in narrow-window
   /// search and for the exhaustive source).
   std::uint64_t postings_scanned = 0;
+  /// Candidates enumerated into a temporary CandidateIndex because the
+  /// caller passed none (one fragment-mass computation each, the unit of
+  /// every index build; 0 whenever an index is supplied).
+  std::uint64_t index_entries_built = 0;
 
   ShardSearchStats& operator+=(const ShardSearchStats& other) {
     candidates_evaluated += other.candidates_evaluated;
@@ -75,6 +79,7 @@ struct ShardSearchStats {
     hits_offered += other.hits_offered;
     ions_built += other.ions_built;
     postings_scanned += other.postings_scanned;
+    index_entries_built += other.index_entries_built;
     return *this;
   }
 };
@@ -99,7 +104,8 @@ inline double kernel_cost_seconds(const ShardSearchStats& stats,
          static_cast<double>(stats.hits_offered) *
              model.seconds_per_hit_update +
          static_cast<double>(stats.postings_scanned) *
-             model.seconds_per_posting;
+             model.seconds_per_posting +
+         static_cast<double>(stats.index_entries_built) * model.seconds_per_mz;
 }
 
 class SearchEngine {
@@ -128,7 +134,9 @@ class SearchEngine {
   /// mass-sorted CandidateIndex, normally shipped with the shard bytes)
   /// against the sorted query hypotheses, building each matched candidate's
   /// fragment ions once. When `index` is null a temporary one is built
-  /// in-place, so every caller gets the same path. When
+  /// in-place, so every caller gets the same path; its entries are counted
+  /// in ShardSearchStats::index_entries_built and charged by
+  /// kernel_cost_seconds. When
   /// config().kernel_threads > 1 the index range fans out over that many
   /// threads with per-thread top-τ lists merged under the total hit order —
   /// hits and counters are identical for every thread count.
