@@ -84,46 +84,36 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
   const bool ship_index =
       config.open_search() &&
       config.candidate_source != CandidateSourceKind::kMassWindow;
-  CandidateIndex local_index;  // the full index: shipped, or routing's input
-  if (ship_index || options.mass_routing) {
+  CandidateIndex local_index;  // shipped with the image in indexed open search
+  FragmentIndex local_fragment;
+  if (ship_index) {
     local_index = CandidateIndex::build(local_db, config);
     comm.clock().charge_compute(static_cast<double>(local_index.size()) *
                                 cost.seconds_per_mz);
-  }
-  // Build cost is one mass computation per posting (= per theoretical ion),
-  // the same unit as the index build.
-  FragmentIndex local_fragment;
-  if (ship_index) {
+    // Build cost is one mass computation per posting (= per theoretical
+    // ion), the same unit as the index build.
     local_fragment =
         FragmentIndex::build(local_db, local_index, config.bin_width);
     comm.clock().charge_compute(
         static_cast<double>(local_fragment.posting_count()) *
         cost.seconds_per_mz);
   }
-  // Mass routing (shared with the serving ring): a collective exchange of
-  // bucketed shard mass histograms leaves every rank holding the identical
-  // global shard mass map before the rotation starts — routing decisions
-  // are then pure functions of frozen global inputs. The exchange is the
-  // only place the histogram travels; no reader wants it in the image.
-  ShardMassMap shard_map;
-  if (options.mass_routing)
-    shard_map = ShardMassMap::exchange(comm, MassHistogram::build(local_index));
   const std::vector<char> local_pack =
       ship_index ? pack_database(local_db, local_index, local_fragment)
                  : pack_database(local_db);
-  if (!ship_index) local_index = CandidateIndex();  // routing is done with it
   comm.charge_alloc(local_pack.size());  // D_local (window)
   sim::Window window(comm, local_pack);
 
-  // Score one shard (`fetched`, or this rank's own when null) for `queries`.
-  // A plain image is re-enumerated through the windowed rebuild into storage
-  // every step reuses. That storage is a fourth buffer next to D_local,
-  // D_recv and D_comp: the rank's memory account carries its capacity, from
-  // the step it grows to the end of the run, like the ring buffers. Under a
-  // memory budget the shard is rebuilt and scored in protein slices whose
-  // entries fit the rank's headroom plus the storage already held; a
-  // protein that overflows a slice is walked again (and charged again) at
-  // the start of the next.
+  // Score one shard (`fetched`, or this rank's own when null) for `queries`
+  // and bump the kernel counters: the one shard step of the rotation and of
+  // recovery alike. A plain image is re-enumerated through the windowed
+  // rebuild into storage every step reuses. That storage is a fourth buffer
+  // next to D_local, D_recv and D_comp: the rank's memory account carries
+  // its capacity, from the step it grows to the end of the run, like the
+  // ring buffers. Under a memory budget the shard is rebuilt and scored in
+  // protein slices whose entries fit the rank's headroom plus the storage
+  // already held; a protein that overflows a slice is walked again (and
+  // charged again) at the start of the next.
   CandidateIndex window_index;
   std::size_t window_index_bytes = 0;  // capacity charged so far
   auto score_shard = [&](const PackedShard* fetched,
@@ -132,16 +122,11 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
     const ProteinDatabase& shard_db = fetched ? fetched->db : local_db;
     ShardSearchStats stats;
     if (ship_index) {
-      // A fetched legacy pack without index or fragment record passes null;
-      // the kernel builds (and counts) what it needs.
-      const CandidateIndex* index =
-          fetched ? (fetched->has_index ? &fetched->index : nullptr)
-                  : &local_index;
-      const FragmentIndex* fragment =
-          fetched ? (fetched->has_fragment ? &fetched->fragment : nullptr)
-                  : &local_fragment;
-      stats = engine.search_shard(shard_db, queries, block_tops, nullptr,
-                                  index, fragment);
+      // Every image in this mode is packed above, with both trailers.
+      stats = engine.search_shard(
+          shard_db, queries, block_tops, nullptr,
+          fetched ? &fetched->index : &local_index,
+          fetched ? &fetched->fragment : &local_fragment);
     } else {
       const std::size_t budget = options.memory_budget_bytes;
       std::size_t max_entries = std::numeric_limits<std::size_t>::max();
@@ -168,7 +153,34 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
                                   cost.seconds_per_mz);
     }
     comm.clock().charge_compute(kernel_cost_seconds(stats, cost));
-    return stats;
+    comm.bump("candidates", stats.candidates_evaluated);
+    comm.bump("prefiltered", stats.candidates_prefiltered);
+    comm.bump("offers", stats.hits_offered);
+    comm.bump("ions", stats.ions_built);
+    if (config.open_search()) comm.bump("postings", stats.postings_scanned);
+  };
+
+  // Report the top-τ lists of the queries whose block starts at `first`:
+  // the one report step of A3 and of every adopted orphan block.
+  auto report_hits = [&](std::vector<TopK<Hit>>& block_tops,
+                         std::size_t first) {
+    QueryHits hits = engine.finalize(block_tops);
+    // Index-miss queries (no candidate cleared the vote gate anywhere) are
+    // the de novo fallback lane's input; the counter lets callers size it.
+    if (config.open_search()) {
+      std::uint64_t misses = 0;
+      for (const std::vector<Hit>& query_hits : hits)
+        if (query_hits.empty()) ++misses;
+      comm.bump("open_index_miss_queries", misses);
+    }
+    std::size_t reported = 0;
+    for (std::size_t q = 0; q < hits.size(); ++q) {
+      reported += hits[q].size();
+      all_hits[query_set.output_offset + first + q] = std::move(hits[q]);
+    }
+    comm.clock().charge_io(static_cast<double>(reported) *
+                           cost.seconds_per_hit_output);
+    comm.bump("hits_reported", reported);
   };
 
   std::size_t max_shard = 0;
@@ -220,33 +232,6 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
                       &*replica_window};
   };
 
-  // Router verdict per shard for this rank's block, fixed for the whole
-  // rotation (the block and the map are both frozen before step 0). A 0 is
-  // a proof the block matches nothing in that shard at this tolerance —
-  // skipping is an optimization, never a correctness decision.
-  std::vector<std::uint8_t> shard_needed(static_cast<std::size_t>(p), 1);
-  if (options.mass_routing && shard_map.routes()) {
-    std::uint64_t visited = 0;
-    std::uint64_t skipped = 0;
-    for (int j = 0; j < p; ++j) {
-      // Open search widens the scoring window asymmetrically (PTM deltas
-      // shift the observed mass); routing must widen identically or a skip
-      // could hide a modified match.
-      const bool need =
-          shard_map.needed(j, std::span<const double>(prepared.sorted_masses),
-                           config.window_below(), config.window_above());
-      shard_needed[static_cast<std::size_t>(j)] = need ? 1 : 0;
-      if (need)
-        ++visited;
-      else
-        ++skipped;
-    }
-    comm.clock().charge_compute(static_cast<double>(p) *
-                                cost.seconds_per_route_check);
-    comm.bump("route_steps_visited", visited);
-    comm.bump("route_steps_skipped", skipped);
-  }
-
   int comp_shard = rank;  // shard image resident in comp_buffer
   for (int s = 0; s < p; ++s) {
     comm.trace_mark("A2 ring step " + std::to_string(s));
@@ -261,29 +246,15 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
     }
 
     const int current = (rank + s) % p;
-    if (!shard_needed[static_cast<std::size_t>(current)]) {
-      // Routed-away step: the constant decision cost only — no fetch, no
-      // scoring. The per-iteration fence still runs (it is collective).
-      comm.clock().charge_compute(cost.seconds_per_route_check);
-      comm.trace_mark("A2 ring step " + std::to_string(s) + " routed skip");
-      if (options.fence_per_iteration) window.fence();
-      continue;
-    }
-
     const int next = (rank + s + 1) % p;
 
+    // Non-blocking request for the next iteration's shard (A2's masking):
+    // issued before this iteration's computation.
     ShardFetch prefetch;
-    if (options.mask) {
-      // Non-blocking request for the next *visited* iteration's shard
-      // (A2's masking): issued before this iteration's computation. A
-      // shard the router will skip is never worth fetching.
-      if (s + 1 < p && shard_needed[static_cast<std::size_t>(next)])
-        prefetch = fetch_shard(next, s, recv_buffer);
-    }
+    if (options.mask && s + 1 < p) prefetch = fetch_shard(next, s, recv_buffer);
     if (current != rank && comp_shard != current) {
       // Nothing delivered this shard under a previous step's mask (the
-      // unmasked variant, or the router skipped the steps in between):
-      // fetch it blocking, fully exposing the transfer.
+      // unmasked variant): fetch it blocking, fully exposing the transfer.
       ShardFetch fetch = fetch_shard(current, s, comp_buffer);
       fetch.window->wait(fetch.request);
       comp_shard = current;
@@ -291,14 +262,7 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
 
     PackedShard fetched;
     if (current != rank) fetched = unpack_shard(comp_buffer);
-    const ShardSearchStats stats = score_shard(
-        current == rank ? nullptr : &fetched, prepared, tops);
-    comm.bump("candidates", stats.candidates_evaluated);
-    comm.bump("prefiltered", stats.candidates_prefiltered);
-    comm.bump("offers", stats.hits_offered);
-    comm.bump("ions", stats.ions_built);
-    if (config.open_search())
-      comm.bump("postings", stats.postings_scanned);
+    score_shard(current == rank ? nullptr : &fetched, prepared, tops);
 
     if (options.mask && prefetch.request.active) {
       prefetch.window->wait(prefetch.request);
@@ -351,65 +315,17 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
                                     cost.seconds_per_query_prep);
         std::vector<TopK<Hit>> orphan_tops = engine.make_tops(orphans.size());
 
-        // The adopted block re-enters through the same router: shards that
-        // provably hold nothing for the orphans are skipped at the constant
-        // decision cost, exactly as in the main rotation.
-        std::vector<std::uint8_t> orphan_needed(static_cast<std::size_t>(p),
-                                                1);
-        if (options.mass_routing && shard_map.routes()) {
-          std::uint64_t visited = 0;
-          std::uint64_t skipped = 0;
-          for (int j = 0; j < p; ++j) {
-            const bool need = shard_map.needed(
-                j, std::span<const double>(orphan_prepared.sorted_masses),
-                config.window_below(), config.window_above());
-            orphan_needed[static_cast<std::size_t>(j)] = need ? 1 : 0;
-            if (need)
-              ++visited;
-            else
-              ++skipped;
-          }
-          comm.clock().charge_compute(static_cast<double>(p) *
-                                      cost.seconds_per_route_check);
-          comm.bump("route_steps_visited", visited);
-          comm.bump("route_steps_skipped", skipped);
-        }
-
         for (int shard = 0; shard < p; ++shard) {
-          if (!orphan_needed[static_cast<std::size_t>(shard)]) {
-            comm.clock().charge_compute(cost.seconds_per_route_check);
-            continue;
-          }
           PackedShard fetched;
           if (shard != rank) {
             ShardFetch fetch = fetch_shard(shard, p, recv_buffer);
             fetch.window->wait(fetch.request);
             fetched = unpack_shard(recv_buffer);
           }
-          const ShardSearchStats stats = score_shard(
-              shard == rank ? nullptr : &fetched, orphan_prepared, orphan_tops);
-          comm.bump("candidates", stats.candidates_evaluated);
-          comm.bump("prefiltered", stats.candidates_prefiltered);
-          comm.bump("ions", stats.ions_built);
-          if (config.open_search())
-            comm.bump("postings", stats.postings_scanned);
+          score_shard(shard == rank ? nullptr : &fetched, orphan_prepared,
+                      orphan_tops);
         }
-
-        QueryHits orphan_hits = engine.finalize(orphan_tops);
-        if (config.open_search()) {
-          std::uint64_t misses = 0;
-          for (const std::vector<Hit>& hits : orphan_hits)
-            if (hits.empty()) ++misses;
-          comm.bump("open_index_miss_queries", misses);
-        }
-        std::size_t reported = 0;
-        for (std::size_t q = 0; q < orphan_hits.size(); ++q) {
-          reported += orphan_hits[q].size();
-          all_hits[query_set.output_offset + dead_block.begin + adopted.begin +
-                   q] = std::move(orphan_hits[q]);
-        }
-        comm.clock().charge_io(static_cast<double>(reported) *
-                               cost.seconds_per_hit_output);
+        report_hits(orphan_tops, dead_block.begin + adopted.begin);
         comm.release_alloc(orphan_bytes);
         adopted_total += adopted.count();
       }
@@ -426,26 +342,7 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
 
   // ---- A3: report the top-τ lists for the local queries ----
   comm.trace_mark("A3 finalize");
-  if (my_crash_step < 0) {
-    QueryHits local_hits = engine.finalize(tops);
-    // Index-miss queries (no candidate cleared the vote gate anywhere) are
-    // the de novo fallback lane's input; the counter lets callers size it.
-    if (config.open_search()) {
-      std::uint64_t misses = 0;
-      for (const std::vector<Hit>& hits : local_hits)
-        if (hits.empty()) ++misses;
-      comm.bump("open_index_miss_queries", misses);
-    }
-    std::size_t reported = 0;
-    for (std::size_t q = 0; q < local_hits.size(); ++q) {
-      reported += local_hits[q].size();
-      all_hits[query_set.output_offset + block.begin + q] =
-          std::move(local_hits[q]);
-    }
-    comm.clock().charge_io(static_cast<double>(reported) *
-                           cost.seconds_per_hit_output);
-    comm.bump("hits_reported", reported);
-  }
+  if (my_crash_step < 0) report_hits(tops, block.begin);
 }
 
 }  // namespace detail

@@ -38,14 +38,6 @@ struct AlgorithmAOptions {
   /// target, the standard 2009 one-sided pattern over ethernet). Makes per-
   /// iteration load imbalance visible as wait time; ablatable.
   bool fence_per_iteration = true;
-  /// Mass-aware shard routing (the serving ring's router, shared): exchange
-  /// per-shard mass histograms up front, then skip ring steps whose shard
-  /// provably holds no candidate for this rank's query block — a constant
-  /// routing-decision charge instead of a fetch plus a scoring pass. Hits
-  /// are bit-identical with routing on or off. Off by default: A's chunked
-  /// partition gives every shard the whole mass range, so the router skips
-  /// nothing and its index build and exchange are pure overhead.
-  bool mass_routing = false;
   /// Per-rank memory budget in bytes (the paper's 1 GB/process cap);
   /// 0 disables. Exceeding it throws OutOfMemoryBudget. Under a budget each
   /// shard's windowed candidate index is built and scored in slices that fit

@@ -29,11 +29,6 @@ HybridResult run_algorithm_hybrid(const sim::Runtime& runtime,
   const int group_size = p / groups;
   const SearchEngine engine(config);
 
-  AlgorithmAOptions ring_options;
-  ring_options.mask = options.mask;
-  ring_options.fence_per_iteration = options.fence_per_iteration;
-  ring_options.memory_budget_bytes = options.memory_budget_bytes;
-
   QueryHits all_hits(queries.size());
 
   sim::RunReport report = runtime.run([&](sim::Comm& world) {
@@ -57,7 +52,7 @@ HybridResult run_algorithm_hybrid(const sim::Runtime& runtime,
             std::span<const Spectrum>(queries.data() + group_block.begin,
                                       group_block.count()),
             group_block.begin},
-        engine, ring_options, all_hits);
+        engine, options, all_hits);
 
     // Groups finish at different times; the job ends when all do.
     world.barrier();

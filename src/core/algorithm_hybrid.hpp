@@ -26,13 +26,11 @@
 
 namespace msp {
 
-struct HybridOptions {
+/// Each group's ring runs Algorithm A's body, so it takes A's options.
+struct HybridOptions : AlgorithmAOptions {
   /// Number of sub-groups g; must divide p. 0 = auto (√p rounded to a
   /// divisor, balancing ring length against replication).
   int groups = 0;
-  bool mask = true;
-  bool fence_per_iteration = true;
-  std::size_t memory_budget_bytes = 0;
 };
 
 struct HybridResult {

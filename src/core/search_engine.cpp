@@ -327,6 +327,62 @@ void search_open_block(
   }
 }
 
+/// Run `block(first, last, tops, stats, per_query)` over [first, last),
+/// fanned over `threads` contiguous sub-ranges, one thread each, with fully
+/// private outputs merged in fixed thread order. The final lists depend only
+/// on the multiset of offers (TopK's total order), and every counter is a
+/// sum over independently processed items (index entries or hypotheses) —
+/// both partition-invariant — so any thread count produces identical
+/// results.
+template <typename Block>
+void fan_out(const SearchEngine& engine, std::size_t threads,
+             std::size_t first, std::size_t last, std::span<TopK<Hit>> tops,
+             ShardSearchStats& stats, std::vector<std::uint64_t>* per_query,
+             const Block& block) {
+  if (threads <= 1) {
+    block(first, last, tops, stats, per_query);
+    return;
+  }
+  struct ThreadState {
+    std::vector<TopK<Hit>> tops;
+    ShardSearchStats stats;
+    std::vector<std::uint64_t> per_query;
+    std::exception_ptr error;
+  };
+  std::vector<ThreadState> states(threads);
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  const std::size_t width = last - first;
+  for (std::size_t t = 0; t < threads; ++t) {
+    ThreadState& state = states[t];
+    state.tops = engine.make_tops(tops.size());
+    if (per_query) state.per_query.assign(tops.size(), 0);
+    const std::size_t block_first = first + width * t / threads;
+    const std::size_t block_last = first + width * (t + 1) / threads;
+    pool.emplace_back([&, block_first, block_last, t] {
+      ThreadState& mine = states[t];
+      try {
+        block(block_first, block_last, mine.tops, mine.stats,
+              per_query ? &mine.per_query : nullptr);
+      } catch (...) {
+        mine.error = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& worker : pool) worker.join();
+  for (ThreadState& state : states)
+    if (state.error) std::rethrow_exception(state.error);
+
+  for (std::size_t t = 0; t < threads; ++t) {
+    const ThreadState& state = states[t];
+    for (std::size_t q = 0; q < tops.size(); ++q) tops[q].merge(state.tops[q]);
+    stats += state.stats;
+    if (per_query)
+      for (std::size_t q = 0; q < state.per_query.size(); ++q)
+        (*per_query)[q] += state.per_query[q];
+  }
+}
+
 }  // namespace
 
 ShardSearchStats SearchEngine::search_shard(
@@ -372,56 +428,10 @@ ShardSearchStats SearchEngine::search_shard(
 
   const std::size_t threads =
       std::clamp<std::size_t>(config_.kernel_threads, 1, last - first);
-  if (threads <= 1) {
-    search_index_block(*this, shard, *index, queries, first, last, tops, stats,
-                       per_query_candidates);
-    return stats;
-  }
-
-  // Fan the entry range over contiguous blocks, one thread each, with fully
-  // private outputs; merge in fixed thread order. The final lists depend
-  // only on the multiset of offers (TopK's total order), and every counter
-  // is a sum over (candidate, query) pairs resp. matched candidates — both
-  // partition-invariant — so any thread count produces identical results.
-  struct ThreadState {
-    std::vector<TopK<Hit>> tops;
-    ShardSearchStats stats;
-    std::vector<std::uint64_t> per_query;
-    std::exception_ptr error;
-  };
-  std::vector<ThreadState> states(threads);
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  const std::size_t span = last - first;
-  for (std::size_t t = 0; t < threads; ++t) {
-    ThreadState& state = states[t];
-    state.tops = make_tops(queries.size());
-    if (per_query_candidates) state.per_query.assign(queries.size(), 0);
-    const std::size_t block_first = first + span * t / threads;
-    const std::size_t block_last = first + span * (t + 1) / threads;
-    pool.emplace_back([&, block_first, block_last, t] {
-      ThreadState& mine = states[t];
-      try {
-        search_index_block(*this, shard, *index, queries, block_first,
-                           block_last, mine.tops, mine.stats,
-                           per_query_candidates ? &mine.per_query : nullptr);
-      } catch (...) {
-        mine.error = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& worker : pool) worker.join();
-  for (ThreadState& state : states)
-    if (state.error) std::rethrow_exception(state.error);
-
-  for (std::size_t t = 0; t < threads; ++t) {
-    const ThreadState& state = states[t];
-    for (std::size_t q = 0; q < tops.size(); ++q) tops[q].merge(state.tops[q]);
-    stats += state.stats;
-    if (per_query_candidates)
-      for (std::size_t q = 0; q < state.per_query.size(); ++q)
-        (*per_query_candidates)[q] += state.per_query[q];
-  }
+  fan_out(*this, threads, first, last, tops, stats, per_query_candidates,
+          [&](auto&&... block) {
+            search_index_block(*this, shard, *index, queries, block...);
+          });
   return stats;
 }
 
@@ -468,54 +478,11 @@ ShardSearchStats SearchEngine::search_shard_open(
 
   const std::size_t threads =
       std::clamp<std::size_t>(config_.kernel_threads, 1, hypotheses);
-  if (threads <= 1) {
-    search_open_block(*this, shard, index, fragment, queries, occupied_ptr, 0,
-                      hypotheses, tops, stats, per_query_candidates);
-    return stats;
-  }
-
-  // Fan the hypothesis range over contiguous blocks — the open analog of
-  // the narrow kernel's entry-range fan-out, with the same merge argument:
-  // every hypothesis is processed independently, counters are sums over
-  // per-hypothesis work, and TopK depends only on the offer multiset.
-  struct ThreadState {
-    std::vector<TopK<Hit>> tops;
-    ShardSearchStats stats;
-    std::vector<std::uint64_t> per_query;
-    std::exception_ptr error;
-  };
-  std::vector<ThreadState> states(threads);
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    ThreadState& state = states[t];
-    state.tops = make_tops(queries.size());
-    if (per_query_candidates) state.per_query.assign(queries.size(), 0);
-    const std::size_t block_first = hypotheses * t / threads;
-    const std::size_t block_last = hypotheses * (t + 1) / threads;
-    pool.emplace_back([&, block_first, block_last, t] {
-      ThreadState& mine = states[t];
-      try {
-        search_open_block(*this, shard, index, fragment, queries, occupied_ptr,
-                          block_first, block_last, mine.tops, mine.stats,
-                          per_query_candidates ? &mine.per_query : nullptr);
-      } catch (...) {
-        mine.error = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& worker : pool) worker.join();
-  for (ThreadState& state : states)
-    if (state.error) std::rethrow_exception(state.error);
-
-  for (std::size_t t = 0; t < threads; ++t) {
-    const ThreadState& state = states[t];
-    for (std::size_t q = 0; q < tops.size(); ++q) tops[q].merge(state.tops[q]);
-    stats += state.stats;
-    if (per_query_candidates)
-      for (std::size_t q = 0; q < state.per_query.size(); ++q)
-        (*per_query_candidates)[q] += state.per_query[q];
-  }
+  fan_out(*this, threads, 0, hypotheses, tops, stats, per_query_candidates,
+          [&](auto&&... block) {
+            search_open_block(*this, shard, index, fragment, queries,
+                              occupied_ptr, block...);
+          });
   return stats;
 }
 

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "core/algorithm_a.hpp"
 #include "core/candidate_record.hpp"
 #include "core/packdb.hpp"
 #include "core/partition.hpp"
@@ -302,32 +301,6 @@ TEST(Routing, ByteIdenticalAcrossRerunsThreadsAndCrashes) {
     EXPECT_EQ(other->steps_skipped, a.steps_skipped);
     EXPECT_EQ(other->makespan_s, a.makespan_s);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Batch mode: Algorithm A's router shares the invariant — bit-identical
-// hits with routing on or off, same candidate totals, skips only when on.
-
-TEST(Routing, AlgorithmARoutedMatchesUnroutedAndSerial) {
-  const Workload& w = workload(false);
-  const SearchConfig config = make_config(0.05);
-  const SearchEngine engine(config);
-  const QueryHits serial = engine.search(w.db, w.queries);
-  const sim::Runtime runtime(6);
-
-  AlgorithmAOptions options;
-  options.mass_routing = true;
-  const ParallelRunResult routed =
-      run_algorithm_a(runtime, w.image, w.queries, config, options);
-  options.mass_routing = false;
-  const ParallelRunResult unrouted =
-      run_algorithm_a(runtime, w.image, w.queries, config, options);
-
-  expect_hits_identical(routed.hits, serial, "algorithm A routed");
-  expect_hits_identical(unrouted.hits, serial, "algorithm A unrouted");
-  EXPECT_EQ(routed.candidates, unrouted.candidates);
-  EXPECT_GT(routed.report.sum_counter("route_steps_skipped"), 0u);
-  EXPECT_EQ(unrouted.report.sum_counter("route_steps_skipped"), 0u);
 }
 
 // ---------------------------------------------------------------------------
