@@ -8,6 +8,7 @@
 #include "core/partition.hpp"
 #include "core/ring_search.hpp"
 #include "core/search_engine.hpp"
+#include "mass/amino_acid.hpp"
 #include "scoring/top_hits.hpp"
 #include "simmpi/comm.hpp"
 #include "util/error.hpp"
@@ -21,40 +22,40 @@ std::size_t query_bytes(const Spectrum& spectrum) {
   return spectrum.peaks().size() * sizeof(Peak) + 4096;
 }
 
+/// First rank whose sorted m/z range can still contain a sequence of
+/// neutral mass >= needed_mass (the paper's i′); bounds.size() when none
+/// can. Conservative by a small slack: skipping is an optimization, never a
+/// correctness decision.
+int lowest_useful_rank(std::span<const MzBoundary> bounds,
+                       double needed_mass) {
+  const double needed_mz = needed_mass + kProtonMass - 2.0;  // slack
+  for (std::size_t r = 0; r < bounds.size(); ++r)
+    if (bounds[r].end_mz >= needed_mz) return static_cast<int>(r);
+  return static_cast<int>(bounds.size());  // empty sender group
+}
+
 }  // namespace
 
-void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
+ProteinDatabase load_ring_shard(sim::Comm& comm,
+                                const std::string& fasta_image) {
+  ProteinDatabase db =
+      load_database_shard(fasta_image, comm.rank(), comm.size());
+  comm.clock().charge_io(static_cast<double>(db.total_residues()) *
+                         comm.compute_model().seconds_per_residue_load);
+  return db;
+}
+
+void ring_search_body(sim::Comm& comm, ProteinDatabase local_db,
                       const RingQuerySet& query_set, const SearchEngine& engine,
-                      const AlgorithmAOptions& options, QueryHits& all_hits) {
+                      const AlgorithmAOptions& options, QueryHits& all_hits,
+                      std::span<const MzBoundary> sorted_bounds) {
   const int p = comm.size();
   const int rank = comm.rank();
   const auto& cost = comm.compute_model();
   const sim::FaultModel& faults = comm.faults();
+  const SearchConfig& config = engine.config();
 
-  // Crash schedule in group-rank space. A scheduled step outside [0, p)
-  // never fires on this communicator (it names a step of a larger ring).
-  auto crash_step_of = [&](int r) {
-    const int step = faults.crash_step(comm.global_rank_of(r));
-    return step >= 0 && step < p ? step : -1;
-  };
-  const int my_crash_step = crash_step_of(rank);
-  const bool fault_tolerant = faults.has_crashes();
-  if (fault_tolerant) {
-    int survivors = 0;
-    for (int r = 0; r < p; ++r)
-      if (crash_step_of(r) < 0) ++survivors;
-    if (survivors == 0)
-      throw FaultUnrecoverable(
-          "fault schedule kills every rank of the ring — nobody left to "
-          "recover the query blocks");
-  }
-
-  // ---- A1: load the rank's database chunk and prepare its query block ----
-  comm.trace_mark("A1 load+prepare");
-  ProteinDatabase local_db = load_database_shard(fasta_image, rank, p);
-  comm.clock().charge_io(static_cast<double>(local_db.total_residues()) *
-                         cost.seconds_per_residue_load);
-
+  // ---- A1 (the load is the caller's): prepare the rank's query block ----
   const QueryRange block = query_block(query_set.queries.size(), rank, p);
   const std::span<const Spectrum> local_queries(
       query_set.queries.data() + block.begin, block.count());
@@ -68,6 +69,53 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
 
   std::vector<TopK<Hit>> tops = engine.make_tops(local_queries.size());
 
+  // The shards a query block needs: all p in Algorithm A; in Algorithm B,
+  // whose shards are sorted by parent m/z, the sender group {i′, …, p−1}
+  // of those heavy enough to offer a candidate to the block's lightest
+  // query. window_below() degenerates to tolerance_da in narrow mode; in
+  // open mode it widens the group so heavy modified matches stay in it.
+  auto first_useful_shard = [&](const PreparedQueries& queries) {
+    if (sorted_bounds.empty()) return 0;
+    if (queries.size() == 0) return p;
+    return lowest_useful_rank(sorted_bounds,
+                              queries.min_mass() - config.window_below());
+  };
+  const int first = first_useful_shard(prepared);
+  const int group = p - first;
+  int steps = p;
+  if (!sorted_bounds.empty()) {
+    comm.bump("shards_visited", static_cast<std::uint64_t>(group));
+    // Sender groups differ between ranks; the ring runs the longest so the
+    // per-step fences stay collective.
+    steps = static_cast<int>(comm.allreduce_max(static_cast<double>(group)));
+  }
+  // Shard scored at ring step s, or -1 past the rank's group: its own shard
+  // first when it is in the group, then the rest of the group in rotation so
+  // concurrent ranks spread their pulls.
+  const int offset = rank >= first ? rank - first : 0;
+  auto shard_at = [&](int s) {
+    return s < group ? first + (offset + s) % group : -1;
+  };
+
+  // Crash schedule in group-rank space. A scheduled step outside the ring's
+  // [0, steps) never fires on this communicator (it names a step of a
+  // longer ring).
+  auto crash_step_of = [&](int r) {
+    const int step = faults.crash_step(comm.global_rank_of(r));
+    return step >= 0 && step < steps ? step : -1;
+  };
+  const int my_crash_step = crash_step_of(rank);
+  const bool fault_tolerant = faults.has_crashes();
+  if (fault_tolerant) {
+    int survivors = 0;
+    for (int r = 0; r < p; ++r)
+      if (crash_step_of(r) < 0) ++survivors;
+    if (survivors == 0)
+      throw FaultUnrecoverable(
+          "fault schedule kills every rank of the ring — nobody left to "
+          "recover the query blocks");
+  }
+
   // ---- A2: ring rotation with masked one-sided transport ----
   // The ring carries the paper's plain shard image — residues only, O(N/p)
   // bytes. Each rank turns every shard it scores back into a CandidateIndex
@@ -80,7 +128,6 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
   // Indexed open search is the exception: its fragment-ion postings cost one
   // mass computation per theoretical ion, so the owner builds the candidate
   // and fragment indexes once and both ride in the image.
-  const SearchConfig& config = engine.config();
   const bool ship_index =
       config.open_search() &&
       config.candidate_source != CandidateSourceKind::kMassWindow;
@@ -233,7 +280,7 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
   };
 
   int comp_shard = rank;  // shard image resident in comp_buffer
-  for (int s = 0; s < p; ++s) {
+  for (int s = 0; s < steps; ++s) {
     comm.trace_mark("A2 ring step " + std::to_string(s));
     if (my_crash_step >= 0 && s >= my_crash_step) {
       if (s == my_crash_step)
@@ -245,24 +292,26 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
       continue;
     }
 
-    const int current = (rank + s) % p;
-    const int next = (rank + s + 1) % p;
+    const int current = shard_at(s);
+    const int next = shard_at(s + 1);
 
     // Non-blocking request for the next iteration's shard (A2's masking):
     // issued before this iteration's computation.
     ShardFetch prefetch;
-    if (options.mask && s + 1 < p) prefetch = fetch_shard(next, s, recv_buffer);
-    if (current != rank && comp_shard != current) {
-      // Nothing delivered this shard under a previous step's mask (the
-      // unmasked variant): fetch it blocking, fully exposing the transfer.
-      ShardFetch fetch = fetch_shard(current, s, comp_buffer);
-      fetch.window->wait(fetch.request);
-      comp_shard = current;
+    if (options.mask && next >= 0) prefetch = fetch_shard(next, s, recv_buffer);
+    if (current >= 0) {
+      if (current != rank && comp_shard != current) {
+        // Nothing delivered this shard under a previous step's mask (the
+        // unmasked variant, or a group that starts past the own shard):
+        // fetch it blocking, fully exposing the transfer.
+        ShardFetch fetch = fetch_shard(current, s, comp_buffer);
+        fetch.window->wait(fetch.request);
+        comp_shard = current;
+      }
+      PackedShard fetched;
+      if (current != rank) fetched = unpack_shard(comp_buffer);
+      score_shard(current == rank ? nullptr : &fetched, prepared, tops);
     }
-
-    PackedShard fetched;
-    if (current != rank) fetched = unpack_shard(comp_buffer);
-    score_shard(current == rank ? nullptr : &fetched, prepared, tops);
 
     if (options.mask && prefetch.request.active) {
       prefetch.window->wait(prefetch.request);
@@ -299,7 +348,7 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
         const QueryRange dead_block =
             query_block(query_set.queries.size(), d, p);
         // Re-partition the orphaned block among the survivors; each
-        // survivor re-searches its slice against all p shards.
+        // survivor re-searches its slice against the slice's useful shards.
         const QueryRange adopted = query_block(
             dead_block.count(), my_index, static_cast<int>(alive.size()));
         if (adopted.count() == 0) continue;
@@ -315,10 +364,11 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
                                     cost.seconds_per_query_prep);
         std::vector<TopK<Hit>> orphan_tops = engine.make_tops(orphans.size());
 
-        for (int shard = 0; shard < p; ++shard) {
+        for (int shard = first_useful_shard(orphan_prepared); shard < p;
+             ++shard) {
           PackedShard fetched;
           if (shard != rank) {
-            ShardFetch fetch = fetch_shard(shard, p, recv_buffer);
+            ShardFetch fetch = fetch_shard(shard, steps, recv_buffer);
             fetch.window->wait(fetch.request);
             fetched = unpack_shard(recv_buffer);
           }
@@ -362,8 +412,9 @@ ParallelRunResult run_algorithm_a(const sim::Runtime& runtime,
   sim::RunReport report = runtime.run([&](sim::Comm& comm) {
     if (options.memory_budget_bytes != 0)
       comm.set_memory_budget(options.memory_budget_bytes);
+    comm.trace_mark("A1 load+prepare");
     detail::ring_search_body(
-        comm, fasta_image,
+        comm, detail::load_ring_shard(comm, fasta_image),
         detail::RingQuerySet{
             std::span<const Spectrum>(queries.data(), queries.size()), 0},
         engine, options, all_hits);

@@ -2,60 +2,29 @@
 
 #include <algorithm>
 
-#include "core/packdb.hpp"
-#include "core/partition.hpp"
+#include "core/ring_search.hpp"
 #include "core/search_engine.hpp"
 #include "core/sortmz.hpp"
-#include "mass/amino_acid.hpp"
-#include "scoring/top_hits.hpp"
 #include "simmpi/comm.hpp"
-#include "util/error.hpp"
 
 namespace msp {
-namespace {
-
-/// First rank whose sorted m/z range can still contain a sequence of
-/// neutral mass ≥ needed_mass (the paper's i′). Conservative by a small
-/// slack: skipping is an optimization, never a correctness decision.
-int lowest_useful_rank(const std::vector<MzBoundary>& boundaries,
-                       double needed_mass) {
-  const double needed_mz = needed_mass + kProtonMass - 2.0;  // slack
-  for (int r = 0; r < static_cast<int>(boundaries.size()); ++r) {
-    if (boundaries[static_cast<std::size_t>(r)].end_mz >= needed_mz) return r;
-  }
-  return static_cast<int>(boundaries.size());  // empty sender group
-}
-
-}  // namespace
 
 AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
                                  const std::string& fasta_image,
                                  const std::vector<Spectrum>& queries,
                                  const SearchConfig& config,
                                  const AlgorithmBOptions& options) {
-  const int p = runtime.size();
   const SearchEngine engine(config);
 
   QueryHits all_hits(queries.size());
 
   sim::RunReport report = runtime.run([&](sim::Comm& comm) {
-    const int rank = comm.rank();
-    const auto& cost = comm.compute_model();
     if (options.memory_budget_bytes != 0)
       comm.set_memory_budget(options.memory_budget_bytes);
 
     // ---- B1: load (identical to A1) ----
-    comm.trace_mark("B1 load+prepare");
-    ProteinDatabase local_db = load_database_shard(fasta_image, rank, p);
-    comm.clock().charge_io(static_cast<double>(local_db.total_residues()) *
-                           cost.seconds_per_residue_load);
-    const QueryRange block = query_block(queries.size(), rank, p);
-    const std::span<const Spectrum> local_queries(queries.data() + block.begin,
-                                                  block.count());
-    const PreparedQueries prepared = engine.prepare(local_queries);
-    comm.clock().charge_compute(static_cast<double>(block.count()) *
-                                cost.seconds_per_query_prep);
-    std::vector<TopK<Hit>> tops = engine.make_tops(block.count());
+    comm.trace_mark("B1 load");
+    ProteinDatabase local_db = detail::load_ring_shard(comm, fasta_image);
 
     // ---- B2: parallel counting sort by parent m/z ----
     comm.trace_mark("B2 mz sort");
@@ -63,150 +32,27 @@ AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
     local_db = ProteinDatabase{};  // sorted copy replaces the unsorted shard
     comm.bump("sort_us",
               static_cast<std::uint64_t>(sorted.sort_seconds * 1e6));
+    comm.charge_alloc(sorted.boundaries.size() * sizeof(MzBoundary));
 
-    // ---- B3: restricted ring with masked one-sided transport ----
-    // Sender group {i′, ..., p−1}: only those sorted shards can contain
-    // sequences heavy enough to offer candidates to any local query.
-    // window_below() degenerates to tolerance_da in narrow mode; in open
-    // mode it widens the restriction so heavy modified matches stay in the
-    // sender group (conservative-safe, like the slack below).
-    const double min_needed =
-        prepared.size() == 0 ? 0.0
-                             : prepared.min_mass() - config.window_below();
-    const int low_rank =
-        prepared.size() == 0 ? p : lowest_useful_rank(sorted.boundaries,
-                                                      min_needed);
-    const int group = p - low_rank;
-    comm.bump("shards_visited", static_cast<std::uint64_t>(group));
-
-    // Index the sorted shard once; the restricted ring ships it with the
-    // shard bytes (same candidate-centric transport as Algorithm A).
-    const CandidateIndex local_index =
-        CandidateIndex::build(sorted.shard, engine.config());
-    comm.clock().charge_compute(static_cast<double>(local_index.size()) *
-                                cost.seconds_per_mz);
-    const bool ship_fragment =
-        config.open_search() &&
-        config.candidate_source != CandidateSourceKind::kMassWindow;
-    FragmentIndex local_fragment;
-    if (ship_fragment) {
-      local_fragment =
-          FragmentIndex::build(sorted.shard, local_index, config.bin_width);
-      comm.clock().charge_compute(
-          static_cast<double>(local_fragment.posting_count()) *
-          cost.seconds_per_mz);
-    }
-    std::vector<char> local_pack =
-        ship_fragment ? pack_database(sorted.shard, local_index, local_fragment)
-                      : pack_database(sorted.shard, local_index);
-    comm.charge_alloc(local_pack.size());
-    sim::Window window(comm, local_pack);
-    std::size_t max_shard = 0;
-    for (int r = 0; r < p; ++r)
-      max_shard = std::max(max_shard, window.shard_size(r));
-    comm.charge_alloc(2 * max_shard + static_cast<std::size_t>(p) *
-                                          sizeof(MzBoundary));
-
-    // Ranks may have different sender-group sizes; iterate to the global
-    // maximum so the per-iteration fences stay collective.
-    const auto max_group =
-        static_cast<int>(comm.allreduce_max(static_cast<double>(group)));
-
-    // Visit own shard first when it is in the group, then rotate within
-    // the group so concurrent ranks spread their pulls.
-    auto shard_at = [&](int t) -> int {
-      if (group == 0 || t >= group) return -1;
-      const int offset = rank >= low_rank ? rank - low_rank : 0;
-      return low_rank + (offset + t) % group;
-    };
-
-    std::vector<char> comp_buffer;
-    std::vector<char> recv_buffer;
-    const int pulls = comm.network().concurrent_pulls(p);
-
-    for (int t = 0; t < max_group; ++t) {
-      comm.trace_mark("B3 ring step " + std::to_string(t));
-      const int current = shard_at(t);
-      const int next = shard_at(t + 1);
-
-      sim::RmaRequest prefetch;
-      if (options.mask) {
-        if (next >= 0 && next != rank)
-          prefetch = window.rget(next, recv_buffer, pulls);
-      }
-
-      if (current >= 0) {
-        PackedShard fetched;
-        if (current == rank) {
-          // Own shard: search the sorted copy and its index in place.
-        } else if (options.mask && t > 0 && !comp_buffer.empty()) {
-          fetched = unpack_shard(comp_buffer);
-        } else {
-          // First remote shard (or unmasked mode): blocking fetch.
-          sim::RmaRequest fetch = window.rget(current, comp_buffer, pulls);
-          window.wait(fetch);
-          fetched = unpack_shard(comp_buffer);
-        }
-        const ProteinDatabase& shard_db =
-            current == rank ? sorted.shard : fetched.db;
-        const CandidateIndex* shard_index =
-            current == rank ? &local_index
-                            : (fetched.has_index ? &fetched.index : nullptr);
-        const FragmentIndex* shard_fragment =
-            current == rank
-                ? (ship_fragment ? &local_fragment : nullptr)
-                : (fetched.has_fragment ? &fetched.fragment : nullptr);
-        const ShardSearchStats stats = engine.search_shard(
-            shard_db, prepared, tops, nullptr, shard_index, shard_fragment);
-        comm.clock().charge_compute(kernel_cost_seconds(stats, cost));
-        comm.bump("candidates", stats.candidates_evaluated);
-        comm.bump("prefiltered", stats.candidates_prefiltered);
-        comm.bump("offers", stats.hits_offered);
-        comm.bump("ions", stats.ions_built);
-        if (config.open_search())
-          comm.bump("postings", stats.postings_scanned);
-      }
-
-      if (options.mask && prefetch.active) {
-        window.wait(prefetch);
-        std::swap(comp_buffer, recv_buffer);
-      }
-      if (options.fence_per_iteration) window.fence();
-    }
-    // Window close is collective (MPI_Win_free semantics).
-    window.fence();
-
-    // ---- report ----
-    comm.trace_mark("B4 finalize");
-    QueryHits local_hits = engine.finalize(tops);
-    if (config.open_search()) {
-      std::uint64_t misses = 0;
-      for (const std::vector<Hit>& hits : local_hits)
-        if (hits.empty()) ++misses;
-      comm.bump("open_index_miss_queries", misses);
-    }
-    std::size_t reported = 0;
-    for (std::size_t q = 0; q < local_hits.size(); ++q) {
-      reported += local_hits[q].size();
-      all_hits[block.begin + q] = std::move(local_hits[q]);
-    }
-    comm.clock().charge_io(static_cast<double>(reported) *
-                           cost.seconds_per_hit_output);
+    // ---- B3: A's ring restricted to the sender group {i′, ..., p−1} ----
+    detail::ring_search_body(
+        comm, std::move(sorted.shard),
+        detail::RingQuerySet{
+            std::span<const Spectrum>(queries.data(), queries.size()), 0},
+        engine, options, all_hits, sorted.boundaries);
   });
 
   AlgorithmBResult result;
   result.candidates = report.sum_counter("candidates");
-  double sort_max = 0.0;
-  double shards_sum = 0.0;
   for (const auto& r : report.ranks) {
     auto it = r.counters.find("sort_us");
     if (it != r.counters.end())
-      sort_max = std::max(sort_max, static_cast<double>(it->second) * 1e-6);
-    auto sv = r.counters.find("shards_visited");
-    if (sv != r.counters.end()) shards_sum += static_cast<double>(sv->second);
+      result.max_sort_seconds = std::max(
+          result.max_sort_seconds, static_cast<double>(it->second) * 1e-6);
   }
-  result.max_sort_seconds = sort_max;
-  result.mean_shards_visited = shards_sum / static_cast<double>(p);
+  result.mean_shards_visited =
+      static_cast<double>(report.sum_counter("shards_visited")) /
+      static_cast<double>(runtime.size());
   result.report = std::move(report);
   result.hits = std::move(all_hits);
   return result;

@@ -8,6 +8,10 @@
 // rank i′ whose m/z range can still contain such sequences, and restricts
 // the ring to {i′, ..., p−1}. The local query set is kept sorted by m/z so
 // the kernel's binary search prunes per-shard work (step B3's refinement).
+//
+// B3 is Algorithm A's ring (core/ring_search.hpp) restricted to the sender
+// group, so B shares A's plain shard images, crash recovery, memory-budget
+// slicing and accounting; the sender group is the only difference.
 #pragma once
 
 #include <string>
@@ -21,17 +25,11 @@
 
 namespace msp {
 
-struct AlgorithmBOptions {
-  bool mask = true;
-  bool fence_per_iteration = true;
-  std::size_t memory_budget_bytes = 0;
-};
+/// B's ring is A's, so it takes A's options.
+using AlgorithmBOptions = AlgorithmAOptions;
 
-struct AlgorithmBResult {
-  sim::RunReport report;
-  QueryHits hits;
-  std::uint64_t candidates = 0;
-  double max_sort_seconds = 0.0;   ///< Table IV's "Sorting time" column
+struct AlgorithmBResult : ParallelRunResult {
+  double max_sort_seconds = 0.0;     ///< Table IV's "Sorting time" column
   double mean_shards_visited = 0.0;  ///< sender-group size actually used
 };
 

@@ -46,8 +46,9 @@ HybridResult run_algorithm_hybrid(const sim::Runtime& runtime,
     // group's slice); the database partitions within each group (every
     // group holds all of it — per-rank memory O(N·g/p)).
     const QueryRange group_block = query_block(queries.size(), color, groups);
+    sub->trace_mark("A1 load+prepare");
     detail::ring_search_body(
-        *sub, fasta_image,
+        *sub, detail::load_ring_shard(*sub, fasta_image),
         detail::RingQuerySet{
             std::span<const Spectrum>(queries.data() + group_block.begin,
                                       group_block.count()),

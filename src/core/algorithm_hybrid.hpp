@@ -33,10 +33,7 @@ struct HybridOptions : AlgorithmAOptions {
   int groups = 0;
 };
 
-struct HybridResult {
-  sim::RunReport report;
-  QueryHits hits;
-  std::uint64_t candidates = 0;
+struct HybridResult : ParallelRunResult {
   int groups_used = 0;
 };
 

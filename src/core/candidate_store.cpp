@@ -14,6 +14,8 @@
 namespace msp {
 namespace {
 
+/// Directory resolution: each rank publishes this many (mass → record
+/// index) samples so requesters can bound partial fetches.
 constexpr std::size_t kDirectoryEntries = 256;
 
 /// Per-rank store metadata exchanged after the sort: record count, mass

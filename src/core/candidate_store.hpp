@@ -36,18 +36,11 @@
 namespace msp {
 
 struct CandidateStoreOptions {
-  bool fence_per_iteration = true;  ///< kept for symmetry; query phase is
-                                    ///  demand-driven and does not fence
   std::size_t memory_budget_bytes = 0;
-  /// Directory resolution: each rank publishes this many (mass → record
-  /// index) samples so requesters can bound partial fetches.
-  std::size_t directory_entries = 256;
 };
 
-struct CandidateStoreResult {
-  sim::RunReport report;
-  QueryHits hits;
-  std::uint64_t candidates = 0;        ///< evaluations (scored records)
+/// `candidates` counts evaluations (scored records).
+struct CandidateStoreResult : ParallelRunResult {
   std::uint64_t stored_candidates = 0; ///< records built into the store
   double build_seconds = 0.0;          ///< max over ranks (store + sort)
 };

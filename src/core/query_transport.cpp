@@ -139,7 +139,7 @@ ParallelRunResult run_query_transport(const sim::Runtime& runtime,
       if (config.open_search())
         comm.bump("postings", stats.postings_scanned);
       partial[static_cast<std::size_t>(j)] = engine.finalize(tops);
-      if (options.fence_per_iteration) window.fence();
+      window.fence();
     }
     // Window close is collective (MPI_Win_free semantics).
     window.fence();

@@ -22,7 +22,6 @@
 namespace msp {
 
 struct QueryTransportOptions {
-  bool fence_per_iteration = true;
   std::size_t memory_budget_bytes = 0;
 };
 

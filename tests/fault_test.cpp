@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/algorithm_a.hpp"
+#include "core/algorithm_b.hpp"
 #include "core/algorithm_hybrid.hpp"
 #include "core/master_worker.hpp"
 #include "core/partition.hpp"
@@ -81,12 +82,20 @@ void expect_hits_equal(const QueryHits& got, const QueryHits& want,
   }
 }
 
-enum class Algo { kA, kMasterWorker };
+enum class Algo { kA, kB, kMasterWorker };
 enum class Schedule { kStraggler, kTransient, kCrash, kCombined };
 
 const char* algo_name(Algo algo) {
-  return algo == Algo::kA ? "A" : "master-worker";
+  switch (algo) {
+    case Algo::kA: return "A";
+    case Algo::kB: return "B";
+    case Algo::kMasterWorker: return "master-worker";
+  }
+  return "?";
 }
+
+/// Algorithms A and B share one ring and so one recovery path.
+bool on_ring(Algo algo) { return algo != Algo::kMasterWorker; }
 
 const char* schedule_name(Schedule kind) {
   switch (kind) {
@@ -98,11 +107,11 @@ const char* schedule_name(Schedule kind) {
   return "?";
 }
 
-/// Crash steps are ring iterations for Algorithm A and received-batch
-/// ordinals for master-worker; rank 1 is always the victim.
+/// Crash steps are ring iterations for Algorithms A and B and received-
+/// batch ordinals for master-worker; rank 1 is always the victim.
 sim::FaultModel make_schedule(Schedule kind, Algo algo, int p) {
   sim::FaultModel faults;
-  const int crash_step = algo == Algo::kA ? p / 2 : 0;
+  const int crash_step = on_ring(algo) ? p / 2 : 0;
   switch (kind) {
     case Schedule::kStraggler:
       faults.straggle(1, 4.0, 2.0);
@@ -148,9 +157,10 @@ TEST_P(FaultSchedule, ReproducesSerialHitsAndCounters) {
   }
 
   const ParallelRunResult result =
-      algo == Algo::kA
-          ? run_algorithm_a(runtime, f.image, f.queries, f.config)
-          : run_master_worker(runtime, f.image, f.queries, f.config);
+      algo == Algo::kA   ? run_algorithm_a(runtime, f.image, f.queries, f.config)
+      : algo == Algo::kB ? run_algorithm_b(runtime, f.image, f.queries, f.config)
+                         : run_master_worker(runtime, f.image, f.queries,
+                                             f.config);
   expect_hits_equal(result.hits, f.serial, label);
   const sim::RunReport& report = result.report;
 
@@ -175,7 +185,7 @@ TEST_P(FaultSchedule, ReproducesSerialHitsAndCounters) {
     case Schedule::kCrash:
       EXPECT_EQ(report.crashed_ranks(), std::vector<int>{1}) << label;
       EXPECT_TRUE(report.ranks[1].crashed) << label;
-      if (algo == Algo::kA) {
+      if (on_ring(algo)) {
         EXPECT_GT(report.total_recovery_seconds(), 0.0) << label;
         EXPECT_EQ(report.sum_counter("recovered_queries"),
                   query_block(f.queries.size(), 1, p).count())
@@ -184,7 +194,7 @@ TEST_P(FaultSchedule, ReproducesSerialHitsAndCounters) {
       break;
     case Schedule::kCombined:
       EXPECT_EQ(report.crashed_ranks(), std::vector<int>{1}) << label;
-      if (algo == Algo::kA) {
+      if (on_ring(algo)) {
         EXPECT_EQ(report.total_transfer_retries(), 2u) << label;
         EXPECT_GT(report.total_recovery_seconds(), 0.0) << label;
       }
@@ -194,7 +204,8 @@ TEST_P(FaultSchedule, ReproducesSerialHitsAndCounters) {
 
 INSTANTIATE_TEST_SUITE_P(
     AlgorithmScheduleRanks, FaultSchedule,
-    ::testing::Combine(::testing::Values(Algo::kA, Algo::kMasterWorker),
+    ::testing::Combine(::testing::Values(Algo::kA, Algo::kMasterWorker,
+                                         Algo::kB),
                        ::testing::Values(Schedule::kStraggler,
                                          Schedule::kTransient, Schedule::kCrash,
                                          Schedule::kCombined),

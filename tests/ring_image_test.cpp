@@ -13,11 +13,11 @@
 //     sends survivors down the recovery path, and evaluates each
 //     (candidate, hypothesis) pair exactly once;
 //   * the narrow-search ring moves plain images only, and per-rank peak
-//     memory stays O(N/p);
+//     memory stays O(N/p) — for Algorithm B's sorted ring too;
 //   * under a memory budget the index is built and scored in protein
 //     slices that fit, with unchanged hits and counters;
-//   * the sub-group hybrid's rings inherit the budget and the recovery
-//     accounting;
+//   * Algorithm B's sender-group ring and the sub-group hybrid's rings
+//     inherit the budget and the recovery accounting;
 //   * a temporary index search_shard builds for a caller that passed none
 //     is counted and charged.
 #include <gtest/gtest.h>
@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "core/algorithm_a.hpp"
+#include "core/algorithm_b.hpp"
 #include "core/algorithm_hybrid.hpp"
 #include "core/candidate_index.hpp"
 #include "core/packdb.hpp"
@@ -383,6 +384,15 @@ TEST(RingImage, NarrowSearchMovesPlainShardsAndPeakStaysLinearInShard) {
   const std::size_t total = std::accumulate(plain.begin(), plain.end(),
                                             std::size_t{0});
 
+  // The paper's O((N + m)/p): N is the plain database bytes, m the query
+  // bytes as Algorithm A accounts them (peak list plus a 4 KiB binned
+  // vector each). D_local + D_recv + D_comp, the rank's query block and the
+  // windowed index fit in twice that; shipping the index would not.
+  std::size_t query_bytes = 0;
+  for (const Spectrum& q : w.queries)
+    query_bytes += q.peaks().size() * sizeof(Peak) + 4096;
+  const std::size_t peak_bound = 2 * (total + query_bytes) / p;
+
   const sim::Runtime runtime(p);
   const ParallelRunResult result =
       run_algorithm_a(runtime, w.image, w.queries, config);
@@ -393,14 +403,14 @@ TEST(RingImage, NarrowSearchMovesPlainShardsAndPeakStaysLinearInShard) {
               want)
         << "rank " << r;
   }
-  // The paper's O((N + m)/p): N is the plain database bytes, m the query
-  // bytes as Algorithm A accounts them (peak list plus a 4 KiB binned
-  // vector each). D_local + D_recv + D_comp, the rank's query block and the
-  // windowed index fit in twice that; shipping the index would not.
-  std::size_t query_bytes = 0;
-  for (const Spectrum& q : w.queries)
-    query_bytes += q.peaks().size() * sizeof(Peak) + 4096;
-  EXPECT_LE(result.report.max_peak_memory(), 2 * (total + query_bytes) / p);
+  EXPECT_LE(result.report.max_peak_memory(), peak_bound) << "A";
+
+  // Algorithm B rides the same ring over its m/z-sorted shards. Its
+  // received bytes also count the sort's Alltoallv, so only the peak is
+  // bounded.
+  const AlgorithmBResult sorted =
+      run_algorithm_b(runtime, w.image, w.queries, config);
+  EXPECT_LE(sorted.report.max_peak_memory(), peak_bound) << "B";
 }
 
 TEST(RingImage, MemoryBudgetSlicesTheIndexWithoutChangingResults) {
@@ -426,6 +436,59 @@ TEST(RingImage, MemoryBudgetSlicesTheIndexWithoutChangingResults) {
       EXPECT_EQ(budgeted.report.sum_counter(counter),
                 free_run.report.sum_counter(counter))
           << label << " " << counter;
+  }
+}
+
+// ---------- Algorithm B: A's ring over the m/z-sorted shards ----------
+
+// B inherits A's ring: it stays hit-identical to the serial engine in
+// narrow search and in open search through both candidate sources, slices
+// its windowed index under a memory budget without changing its counters,
+// and recovers a crash with every hit reported once.
+TEST(RingImage, AlgorithmBInheritsBudgetSlicingAndRecovery) {
+  const Workload& w = workload();
+  SearchConfig fragment = open_asymmetric_config();
+  fragment.candidate_source = CandidateSourceKind::kFragmentIndex;
+  for (const SearchConfig& config :
+       {narrow_config(), open_asymmetric_config(), fragment}) {
+    const std::string label =
+        label_of(config) + " source=" +
+        std::to_string(static_cast<int>(config.candidate_source)) + " B";
+    const QueryHits serial = SearchEngine(config).search(w.db, w.queries);
+    std::uint64_t serial_reported = 0;
+    for (const std::vector<Hit>& hits : serial) serial_reported += hits.size();
+
+    const sim::Runtime runtime(4);
+    const AlgorithmBResult free_run =
+        run_algorithm_b(runtime, w.image, w.queries, config);
+    expect_hits_identical(free_run.hits, serial, label);
+    const std::size_t peak = free_run.report.max_peak_memory();
+
+    // The shipped fragment index cannot be sliced; the rebuilt windowed
+    // index can.
+    if (config.candidate_source != CandidateSourceKind::kFragmentIndex) {
+      AlgorithmBOptions options;
+      options.memory_budget_bytes = peak - 1;
+      const AlgorithmBResult budgeted =
+          run_algorithm_b(runtime, w.image, w.queries, config, options);
+      expect_hits_identical(budgeted.hits, serial, label + " budget");
+      EXPECT_LT(budgeted.report.max_peak_memory(), peak) << label;
+      for (const char* counter : {"candidates", "prefiltered", "offers"})
+        EXPECT_EQ(budgeted.report.sum_counter(counter),
+                  free_run.report.sum_counter(counter))
+            << label << " budget " << counter;
+    }
+
+    sim::FaultModel faults;
+    faults.crash(1, 0);
+    const sim::Runtime crashing(4, {}, {}, faults);
+    const AlgorithmBResult crashed =
+        run_algorithm_b(crashing, w.image, w.queries, config);
+    expect_hits_identical(crashed.hits, serial, label + " crash@0");
+    EXPECT_EQ(crashed.report.crashed_ranks(), std::vector<int>{1}) << label;
+    EXPECT_GT(crashed.report.sum_counter("recovered_queries"), 0u) << label;
+    EXPECT_EQ(crashed.report.sum_counter("hits_reported"), serial_reported)
+        << label;
   }
 }
 

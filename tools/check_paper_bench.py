@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Paper-fidelity gate over the text output of bench_space,
-bench_table2_runtime and bench_table3_rate.
+bench_table2_runtime, bench_table3_rate and bench_table4_ab.
 
-Run the three benches, save their stdout, and pass all three files:
+Run the four benches, save their stdout, and pass all four files:
 
   ./build/bench/bench_space > space.txt
   ./build/bench/bench_table2_runtime --sizes 16000 --queries 1210 \\
       --procs 8,64,128 > table2.txt
   ./build/bench/bench_table3_rate --procs 8,128 > table3.txt
+  ./build/bench/bench_table4_ab --procs 1,16,64 > table4.txt
   python3 tools/check_paper_bench.py --space space.txt --table2 table2.txt \\
-      --table3 table3.txt
+      --table3 table3.txt --table4 table4.txt
 
 Virtual-clock results are deterministic, so the bounds (the constants
 below) are tight margins under the measured values, not noise tolerances:
@@ -26,6 +27,10 @@ below) are tight margins under the measured values, not noise tolerances:
   * Table III's candidate evaluation rate rises >= MIN_RATE_SCALING (7x)
     from the smallest to the largest p (measured 40,077 -> 314,558 cand/s,
     7.85x; the paper reports 12.6x).
+  * Table IV's Algorithm A run-time is below Algorithm B's at every
+    p >= 16 (measured 3.70 vs 7.65 s at p=16, 1.32 vs 3.27 s at p=64).
+  * Table IV's Algorithm B speedup at the largest p is >= MIN_B_SPEEDUP
+    (10x) (measured 13.59x at p=64; the paper reports 10.4x).
 
 Exit code 0 = pass, 1 = regression, 2 = malformed input.
 """
@@ -39,6 +44,7 @@ MIN_SPEEDUP = 9.0
 MIN_RESIDUAL = 0.10
 MAX_RESIDUAL = 0.50
 MIN_RATE_SCALING = 7.0
+MIN_B_SPEEDUP = 10.0
 
 
 def fail(msg: str, code: int = 1) -> None:
@@ -84,6 +90,8 @@ def main() -> None:
                         help="bench_table2_runtime stdout")
     parser.add_argument("--table3", required=True,
                         help="bench_table3_rate stdout")
+    parser.add_argument("--table4", required=True,
+                        help="bench_table4_ab stdout")
     args = parser.parse_args()
     checked = []
 
@@ -138,6 +146,25 @@ def main() -> None:
                     f"{low:,.0f} -> {high:,.0f} cand/s = {scaling:.2f}x >= "
                     f"{MIN_RATE_SCALING:.2f}x",
                     scaling >= MIN_RATE_SCALING))
+
+    rows = table_rows(read(args.table4))
+    if (len(rows) < 2 or len(rows[0]) < 5
+            or rows[0][1] != "A run-time" or rows[0][3] != "B run-time"
+            or rows[0][4] != "B speedup"):
+        fail(f"{args.table4}: no A-vs-B run-time table", code=2)
+    for row in rows[1:]:
+        p = number(row[0], args.table4)
+        if p < 16:
+            continue
+        a_seconds = number(row[1], args.table4)
+        b_seconds = number(row[3], args.table4)
+        checked.append((f"Table IV: A faster than B at p={row[0]}",
+                        f"{a_seconds:.2f} s < {b_seconds:.2f} s",
+                        a_seconds < b_seconds))
+    b_speedup = number(rows[-1][4], args.table4)
+    checked.append((f"Table IV: B speedup at p={rows[-1][0]}",
+                    f"{b_speedup:.2f}x >= {MIN_B_SPEEDUP:.2f}x",
+                    b_speedup >= MIN_B_SPEEDUP))
 
     ok = True
     for name, detail, passed in checked:
