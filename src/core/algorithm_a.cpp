@@ -17,11 +17,6 @@ namespace msp {
 namespace detail {
 namespace {
 
-/// Rough per-query memory footprint (peak list + binned vector).
-std::size_t query_bytes(const Spectrum& spectrum) {
-  return spectrum.peaks().size() * sizeof(Peak) + 4096;
-}
-
 /// First rank whose sorted m/z range can still contain a sequence of
 /// neutral mass >= needed_mass (the paper's i′); bounds.size() when none
 /// can. Conservative by a small slack: skipping is an optimization, never a
@@ -60,9 +55,7 @@ void ring_search_body(sim::Comm& comm, ProteinDatabase local_db,
   const std::span<const Spectrum> local_queries(
       query_set.queries.data() + block.begin, block.count());
 
-  std::size_t local_query_bytes = 0;
-  for (const Spectrum& q : local_queries) local_query_bytes += query_bytes(q);
-  comm.charge_alloc(local_query_bytes);
+  comm.charge_alloc(query_footprint_bytes(local_queries));
   const PreparedQueries prepared = engine.prepare(local_queries);
   comm.clock().charge_compute(static_cast<double>(local_queries.size()) *
                               cost.seconds_per_query_prep);
@@ -356,8 +349,7 @@ void ring_search_body(sim::Comm& comm, ProteinDatabase local_db,
             query_set.queries.data() + dead_block.begin + adopted.begin,
             adopted.count());
 
-        std::size_t orphan_bytes = 0;
-        for (const Spectrum& q : orphans) orphan_bytes += query_bytes(q);
+        const std::size_t orphan_bytes = query_footprint_bytes(orphans);
         comm.charge_alloc(orphan_bytes);
         const PreparedQueries orphan_prepared = engine.prepare(orphans);
         comm.clock().charge_compute(static_cast<double>(orphans.size()) *

@@ -29,7 +29,7 @@ namespace {
 /// Call `emit(entry)` for every candidate of shard proteins [first, last)
 /// under `params`, in enumeration (not mass) order.
 template <typename Emit>
-void enumerate_candidates(const ProteinDatabase& shard,
+void for_each_candidate(const ProteinDatabase& shard,
                           const CandidateIndexParams& params,
                           std::uint32_t first, std::uint32_t last,
                           Emit&& emit) {
@@ -99,9 +99,8 @@ CandidateIndex CandidateIndex::build(const ProteinDatabase& shard,
   const auto append = [&](const IndexedCandidate& entry) {
     entries.push_back(entry);
   };
-  enumerate_candidates(shard, params, 0,
-                       static_cast<std::uint32_t>(shard.proteins.size()),
-                       append);
+  for_each_candidate(shard, params, 0,
+                     static_cast<std::uint32_t>(shard.proteins.size()), append);
   sort_entries(entries);
   return CandidateIndex(params, std::move(entries));
 }
@@ -121,7 +120,6 @@ CandidateIndex::WindowedSlice CandidateIndex::rebuild_windowed(
   const bool open = config.open_search();
   const double below = config.window_below();
   const double above = config.window_above();
-  const double delta = config.tolerance_da;
   // The exact predicate of the kernel that will search this index, so that
   // rounding keeps an entry here iff the kernel would visit it.
   const auto reachable = [&](double mass) {
@@ -131,9 +129,9 @@ CandidateIndex::WindowedSlice CandidateIndex::rebuild_windowed(
           first, last, [&](double m) { return m + above < mass; });
       return it != last && *it - below <= mass;
     }
-    // search_index_block: hypotheses [M - delta, M + delta] per entry M.
-    const auto it = std::lower_bound(first, last, mass - delta);
-    return it != last && *it <= mass + delta;
+    // search_sorted_block: hypotheses [M - above, M + below] per entry M.
+    const auto it = std::lower_bound(first, last, mass - above);
+    return it != last && *it <= mass + below;
   };
 
   WindowedSlice slice{0, first_protein};
@@ -160,7 +158,7 @@ CandidateIndex::WindowedSlice CandidateIndex::rebuild_windowed(
   for (; slice.next_protein < proteins; ++slice.next_protein) {
     const std::size_t kept = entries_.size();
     const std::uint32_t pi = slice.next_protein;
-    enumerate_candidates(shard, params, pi, pi + 1, keep);
+    for_each_candidate(shard, params, pi, pi + 1, keep);
     // The protein that overflows the slice opens the next one.
     if (overflow) {
       entries_.resize(kept);
@@ -174,6 +172,20 @@ CandidateIndex::WindowedSlice CandidateIndex::rebuild_windowed(
 CandidateIndex CandidateIndex::build(const ProteinDatabase& shard,
                                      const SearchConfig& config) {
   return build(shard, CandidateIndexParams::from(config));
+}
+
+std::vector<IndexedCandidate> enumerate_candidates(const ProteinDatabase& shard,
+                                                   const SearchConfig& config,
+                                                   double mass_floor,
+                                                   double mass_ceil) {
+  std::vector<IndexedCandidate> candidates;
+  for_each_candidate(shard, CandidateIndexParams::from(config), 0,
+                     static_cast<std::uint32_t>(shard.proteins.size()),
+                     [&](const IndexedCandidate& entry) {
+                       if (entry.mass >= mass_floor && entry.mass <= mass_ceil)
+                         candidates.push_back(entry);
+                     });
+  return candidates;
 }
 
 }  // namespace msp

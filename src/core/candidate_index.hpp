@@ -79,10 +79,12 @@ class CandidateIndex {
   /// `sorted_masses` can reach, reusing the entry storage. An entry is kept
   /// iff the kernel `config` selects would visit it for some hypothesis m,
   /// tested with that kernel's own predicate: M in [m - window_below,
-  /// m + window_above] for open search, m in [M - tolerance, M + tolerance]
-  /// for narrow search. Kept entries are sorted like build()'s. An entry no
-  /// hypothesis reaches has no effect on the kernel, so searching the
-  /// windowed index gives the hits and ShardSearchStats of the full one.
+  /// m + window_above] for open search (search_open_block), m in
+  /// [M - window_above, M + window_below] for narrow search
+  /// (search_sorted_block; ±tolerance there). Kept entries are sorted like
+  /// build()'s. An entry no hypothesis reaches has no effect on the kernel,
+  /// so searching the windowed index gives the hits and ShardSearchStats of
+  /// the full one.
   ///
   /// Proteins are walked from `first_protein` on. The walk stops before the
   /// protein that would take the kept entries past `max_entries` (a slice
@@ -114,5 +116,14 @@ class CandidateIndex {
   CandidateIndexParams params_;
   std::vector<IndexedCandidate> entries_;  ///< mass ascending
 };
+
+/// The candidates of `shard` under `config`'s enumeration parameters whose
+/// mass lies in [mass_floor, mass_ceil], in enumeration order (protein by
+/// protein) — the walk CandidateIndex::build sorts, with the same mass
+/// arithmetic, so every consumer sees bit-identical candidate masses.
+std::vector<IndexedCandidate> enumerate_candidates(const ProteinDatabase& shard,
+                                                   const SearchConfig& config,
+                                                   double mass_floor,
+                                                   double mass_ceil);
 
 }  // namespace msp

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "core/candidate_index.hpp"
 #include "io/wire_record.hpp"
 #include "simmpi/comm.hpp"
 #include "util/error.hpp"
@@ -10,19 +11,19 @@
 namespace msp {
 namespace {
 
-CandidateRecord make_record(const Protein& protein, std::uint32_t offset,
-                            std::uint16_t length, FragmentEnd end,
-                            double mass) {
+CandidateRecord make_record(const Protein& protein,
+                            const IndexedCandidate& candidate) {
   MSP_CHECK_MSG(protein.id.size() < sizeof(CandidateRecord{}.protein_id),
                 "candidate records require protein ids < 24 chars, got '"
                     << protein.id << "'");
   CandidateRecord record;
-  record.mass = mass;
+  record.mass = candidate.mass;
   std::memcpy(record.protein_id, protein.id.data(), protein.id.size());
-  std::memcpy(record.peptide, protein.residues.data() + offset, length);
-  record.offset = offset;
-  record.length = length;
-  record.end = static_cast<std::uint8_t>(end);
+  std::memcpy(record.peptide, protein.residues.data() + candidate.offset,
+              candidate.length);
+  record.offset = candidate.offset;
+  record.length = static_cast<std::uint16_t>(candidate.length);
+  record.end = static_cast<std::uint8_t>(candidate.end);
   return record;
 }
 
@@ -35,29 +36,9 @@ std::vector<CandidateRecord> enumerate_candidate_records(
                     sizeof(CandidateRecord{}.peptide),
                 "candidate records cap peptide length at 63 residues");
   std::vector<CandidateRecord> records;
-  for (const Protein& protein : db.proteins) {
-    const std::size_t len = protein.residues.size();
-    if (len < config.min_candidate_length) continue;
-    const FragmentMassIndex index(protein.residues);
-    const std::size_t max_k = std::min(len, config.max_candidate_length);
-    for (std::size_t k = config.min_candidate_length; k <= max_k; ++k) {
-      const double mass = index.prefix_mass(k);
-      if (mass > mass_ceil) break;
-      if (mass < mass_floor) continue;
-      records.push_back(make_record(protein, 0, static_cast<std::uint16_t>(k),
-                                    FragmentEnd::kPrefix, mass));
-    }
-    for (std::size_t k = config.min_candidate_length; k <= max_k; ++k) {
-      if (k == len) break;  // full sequence already counted as a prefix
-      const double mass = index.suffix_mass(k);
-      if (mass > mass_ceil) break;
-      if (mass < mass_floor) continue;
-      records.push_back(make_record(protein,
-                                    static_cast<std::uint32_t>(len - k),
-                                    static_cast<std::uint16_t>(k),
-                                    FragmentEnd::kSuffix, mass));
-    }
-  }
+  for (const IndexedCandidate& candidate :
+       enumerate_candidates(db, config, mass_floor, mass_ceil))
+    records.push_back(make_record(db.proteins[candidate.protein], candidate));
   return records;
 }
 

@@ -37,10 +37,10 @@ struct CandidateRecord {
 static_assert(sizeof(CandidateRecord) == 104);
 
 /// Enumerate `db`'s candidates whose mass lies inside [mass_floor,
-/// mass_ceil] — the Section II-A prefix/suffix rule, one record per
-/// candidate. Requires CandidateMode::kPrefixSuffix semantics (the k == len
-/// suffix is skipped: the full sequence is already counted as a prefix).
-/// Throws if a protein id does not fit the record's 24-byte field.
+/// mass_ceil], one record per candidate: a mass filter over
+/// enumerate_candidates (core/candidate_index.hpp), so records carry the
+/// same candidates and bit-identical masses as a CandidateIndex. Throws if a
+/// protein id does not fit the record's 24-byte field.
 std::vector<CandidateRecord> enumerate_candidate_records(
     const ProteinDatabase& db, const SearchConfig& config, double mass_floor,
     double mass_ceil);

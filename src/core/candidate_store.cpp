@@ -100,22 +100,22 @@ CandidateStoreResult run_candidate_store(const sim::Runtime& runtime,
     const QueryRange block = query_block(queries.size(), rank, p);
     const std::span<const Spectrum> local_queries(queries.data() + block.begin,
                                                   block.count());
-    std::size_t query_bytes = 0;
-    for (const Spectrum& q : local_queries)
-      query_bytes += q.peaks().size() * sizeof(Peak) + 4096;
-    comm.charge_alloc(query_bytes);
+    comm.charge_alloc(query_footprint_bytes(local_queries));
     const PreparedQueries prepared = engine.prepare(local_queries);
     comm.clock().charge_compute(static_cast<double>(block.count()) *
                                 cost.seconds_per_query_prep);
 
-    // Global query-mass window bounds the store.
+    // The global hypothesis envelope, widened by the precursor window
+    // (±tolerance_da in narrow mode), bounds the store.
+    const double below = config.window_below();
+    const double above = config.window_above();
     const double sentinel = 1e30;
     const double local_lo =
         prepared.size() == 0 ? sentinel : prepared.min_mass();
     const double local_hi =
         prepared.size() == 0 ? -sentinel : prepared.max_mass();
-    const double global_lo = comm.allreduce_min(local_lo) - config.tolerance_da;
-    const double global_hi = comm.allreduce_max(local_hi) + config.tolerance_da;
+    const double global_lo = comm.allreduce_min(local_lo) - below;
+    const double global_hi = comm.allreduce_max(local_hi) + above;
 
     std::vector<CandidateRecord> records =
         global_lo <= global_hi
@@ -145,22 +145,27 @@ CandidateStoreResult run_candidate_store(const sim::Runtime& runtime,
     sim::Window window(comm, store_bytes);
 
     // ---- query phase: on-demand partial gets of matching ranges ----
+    // The block's hypothesis windows [m − below, m + above], merged into
+    // disjoint mass intervals. Each interval fetches each rank's directory
+    // range once and scores it through the engine's candidate-major kernel;
+    // the directory over-covers, so records are clipped to the interval and
+    // every record is scored at most once per block.
     comm.trace_mark("store query");
+    std::vector<std::pair<double, double>> intervals;
+    for (const double mass : prepared.sorted_masses) {
+      if (!intervals.empty() && mass - below <= intervals.back().second)
+        intervals.back().second = mass + above;
+      else
+        intervals.emplace_back(mass - below, mass + above);
+    }
     std::vector<TopK<Hit>> tops = engine.make_tops(block.count());
     const double eval_cost = cost.seconds_per_candidate *
                              (1.0 - cost.candidate_generation_fraction);
     std::vector<char> fetched;
     std::vector<CandidateRecord> decoded;
-    std::uint64_t evaluated = 0;
-    std::uint64_t offered = 0;
+    ShardSearchStats stats;
     std::uint64_t fetches = 0;
-    FragmentIonWorkspace workspace;
-    const TheoreticalOptions ion_options;
-
-    for (std::size_t qi = 0; qi < block.count(); ++qi) {
-      const double mass = prepared.masses[qi];
-      const double lo = mass - config.tolerance_da;
-      const double hi = mass + config.tolerance_da;
+    for (const auto& [lo, hi] : intervals) {
       for (int target = 0; target < p; ++target) {
         const auto [first, last] =
             directory_range(metas[static_cast<std::size_t>(target)], lo, hi);
@@ -170,37 +175,28 @@ CandidateStoreResult run_candidate_store(const sim::Runtime& runtime,
             (last - first) * sizeof(CandidateRecord), fetched, 1);
         window.wait(fetch);
         ++fetches;
-        for (const CandidateRecord& record : wire::checked_array_copy(
-                 std::span<const char>(fetched), decoded, "store range")) {
-          if (record.mass < lo) continue;
-          if (record.mass > hi) break;  // records sorted by mass
-          const std::string_view peptide(record.peptide, record.length);
-          // Allocation-free scoring: the record's ions land in one reused
-          // workspace (the store already paid generation at build time, so
-          // only the comparison remainder is charged below).
-          const std::vector<FragmentIon>& ions =
-              fragment_ions_into(peptide, ion_options, workspace);
-          const double score =
-              engine.score_candidate(prepared.contexts[qi], peptide, ions);
-          ++evaluated;
-          comm.clock().charge_compute(eval_cost);
-          if (score < config.score_cutoff) continue;
-          Hit hit;
-          hit.score = score;
-          hit.protein_id = record.protein_id;  // NUL-padded → C string
-          hit.offset = record.offset;
-          hit.length = record.length;
-          hit.end = static_cast<FragmentEnd>(record.end);
-          hit.mass = record.mass;
-          hit.peptide = std::string(peptide);
-          tops[qi].offer(hit);
-          ++offered;
-        }
+        const std::span<const CandidateRecord> range = wire::checked_array_copy(
+            std::span<const char>(fetched), decoded, "store range");
+        const auto clip_first =
+            std::ranges::lower_bound(range, lo, {}, &CandidateRecord::mass);
+        const auto clip_last = std::ranges::upper_bound(
+            clip_first, range.end(), hi, {}, &CandidateRecord::mass);
+        const ShardSearchStats fetched_stats = engine.search_records(
+            std::span<const CandidateRecord>(clip_first, clip_last), prepared,
+            tops);
+        // The store already paid generation at build time, so only the
+        // comparison remainder of each evaluation is charged here.
+        comm.clock().charge_compute(
+            static_cast<double>(fetched_stats.candidates_evaluated) *
+                eval_cost +
+            static_cast<double>(fetched_stats.candidates_prefiltered) *
+                cost.seconds_per_prefilter);
+        stats += fetched_stats;
       }
     }
-    comm.clock().charge_compute(static_cast<double>(offered) *
+    comm.clock().charge_compute(static_cast<double>(stats.hits_offered) *
                                 cost.seconds_per_hit_update);
-    comm.bump("candidates", evaluated);
+    comm.bump("candidates", stats.candidates_evaluated);
     comm.bump("fetches", fetches);
 
     // Window close is collective.

@@ -11,12 +11,16 @@
 //
 // Realization:
 //   1. Every rank enumerates its chunk's candidate fragments (prefixes and
-//      suffixes in the global query-mass window) into fixed-size records.
+//      suffixes in the global hypothesis-mass envelope, widened by the
+//      precursor window) into fixed-size records.
 //   2. The records are parallel counting-sorted by mass across ranks —
 //      Algorithm B's machinery applied to candidates instead of sequences.
 //   3. Query processing fetches, on demand, only the record ranges whose
 //      mass window matches (partial one-sided gets guided by each rank's
-//      mass directory) — no whole-database rotation at all.
+//      mass directory) — no whole-database rotation at all — and scores
+//      them with SearchEngine::search_records, the candidate-major kernel
+//      the other algorithms use, so every search mode gives the serial
+//      engine's hits.
 // The trade: candidate generation cost is paid once per candidate (not
 // once per evaluation), and transfers shrink to the matching ranges; in
 // exchange the store is much larger than the raw sequences — measured by

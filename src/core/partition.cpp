@@ -23,6 +23,13 @@ QueryRange query_block(std::size_t total_queries, int rank, int p) {
   return QueryRange{begin, begin + base + (r < extra ? 1 : 0)};
 }
 
+std::size_t query_footprint_bytes(std::span<const Spectrum> queries) {
+  std::size_t bytes = 0;
+  for (const Spectrum& query : queries)
+    bytes += query.peaks().size() * sizeof(Peak) + 4096;
+  return bytes;
+}
+
 std::vector<ProteinDatabase> partition_by_residues(const ProteinDatabase& db,
                                                    int p) {
   MSP_CHECK_MSG(p >= 1, "need p >= 1");

@@ -28,6 +28,10 @@ struct QueryRange {
 };
 QueryRange query_block(std::size_t total_queries, int rank, int p);
 
+/// Memory a rank charges for holding `queries`: a rough per-query footprint
+/// (peak list plus binned vector), the one rule every algorithm accounts with.
+std::size_t query_footprint_bytes(std::span<const Spectrum> queries);
+
 /// Direct (in-memory) database partition used when no FASTA image exists:
 /// contiguous sequence ranges balanced by residue count — same invariant as
 /// the byte-chunk rule (each shard ≈ N/p residues), minus the parsing.

@@ -8,12 +8,6 @@
 namespace msp {
 namespace {
 
-/// Rough per-query memory footprint (peak list + binned vector) — the same
-/// accounting rule Algorithm A charges for its query blocks.
-std::size_t query_bytes(const Spectrum& spectrum) {
-  return spectrum.peaks().size() * sizeof(Peak) + 4096;
-}
-
 /// Reinterpret fetched band bytes as records. The transport moves raw
 /// record bytes, so a fetched range is decoded through the wire layer's
 /// checked copy (the simulator's virtual clock never sees this host-side
@@ -216,6 +210,21 @@ std::span<const CandidateRecord> RingService::resident_records(
   return decode_records(fetch_buffer_, scratch_records_);
 }
 
+void RingService::score_flight(Flight& flight, int shard,
+                               std::span<const CandidateRecord> resident) {
+  std::vector<TopK<Hit>> shard_tops = engine_.make_tops(flight.block.count());
+  const ShardSearchStats stats =
+      engine_.search_records(resident, flight.prepared, shard_tops);
+  comm_.clock().charge_compute(
+      kernel_cost_seconds(stats, comm_.compute_model()));
+  comm_.bump("candidates", stats.candidates_evaluated);
+  comm_.bump("prefiltered", stats.candidates_prefiltered);
+  comm_.bump("offers", stats.hits_offered);
+  comm_.bump("ions", stats.ions_built);
+  for (std::size_t q = 0; q < flight.block.count(); ++q)
+    flight.tops[q].absorb(static_cast<std::size_t>(shard), shard_tops[q]);
+}
+
 void RingService::admit(const ServiceBatch& batch) {
   const auto& cost = comm_.compute_model();
   Flight flight;
@@ -292,8 +301,7 @@ void RingService::admit(const ServiceBatch& batch) {
                       "service batch query id out of range");
         gathered.push_back(queries_[flight.ids[i]]);
       }
-      for (const Spectrum& q : gathered)
-        flight.alloc_bytes += query_bytes(q);
+      flight.alloc_bytes = query_footprint_bytes(gathered);
       comm_.charge_alloc(flight.alloc_bytes);
       flight.prepared = engine_.prepare(gathered);
       comm_.clock().charge_compute(static_cast<double>(gathered.size()) *
@@ -364,20 +372,7 @@ ServiceStepOutcome RingService::step(bool prefetch_next) {
         if (flight.block.count() == 0 ||
             !flight.my_routed[static_cast<std::size_t>(shard)])
           continue;  // admit() already recorded the skip in its tops
-        const std::span<const CandidateRecord> resident =
-            resident_records(shard, s, flight);
-        std::vector<TopK<Hit>> shard_tops =
-            engine_.make_tops(flight.block.count());
-        const ShardSearchStats stats =
-            engine_.search_records(resident, flight.prepared, shard_tops);
-        comm_.clock().charge_compute(kernel_cost_seconds(stats, cost));
-        comm_.bump("candidates", stats.candidates_evaluated);
-        comm_.bump("prefiltered", stats.candidates_prefiltered);
-        comm_.bump("offers", stats.hits_offered);
-        comm_.bump("ions", stats.ions_built);
-        for (std::size_t q = 0; q < flight.block.count(); ++q)
-          flight.tops[q].absorb(static_cast<std::size_t>(shard),
-                                shard_tops[q]);
+        score_flight(flight, shard, resident_records(shard, s, flight));
       }
     } else {
       // Unrouted visit: make the whole band resident. While the ring stays
@@ -409,21 +404,8 @@ ServiceStepOutcome RingService::step(bool prefetch_next) {
       if (continues && next_shard != rank_)
         prefetch = fetch_shard(next_shard, s, recv_buffer_);
 
-      for (Flight& flight : flights_) {
-        if (flight.block.count() == 0) continue;
-        std::vector<TopK<Hit>> shard_tops =
-            engine_.make_tops(flight.block.count());
-        const ShardSearchStats stats =
-            engine_.search_records(resident, flight.prepared, shard_tops);
-        comm_.clock().charge_compute(kernel_cost_seconds(stats, cost));
-        comm_.bump("candidates", stats.candidates_evaluated);
-        comm_.bump("prefiltered", stats.candidates_prefiltered);
-        comm_.bump("offers", stats.hits_offered);
-        comm_.bump("ions", stats.ions_built);
-        for (std::size_t q = 0; q < flight.block.count(); ++q)
-          flight.tops[q].absorb(static_cast<std::size_t>(shard),
-                                shard_tops[q]);
-      }
+      for (Flight& flight : flights_)
+        if (flight.block.count() > 0) score_flight(flight, shard, resident);
 
       if (prefetch.request.active) {
         prefetch.window->wait(prefetch.request);

@@ -186,8 +186,9 @@ class RingService {
     // This rank's block (empty when not a member):
     QueryRange block;                   ///< range into `ids`
     PreparedQueries prepared;
-    /// The block's query-mass window [min−δ, max+δ] — what partial fetches
-    /// of a visited band are clipped to.
+    /// The block's query-mass window [min − window_below, max +
+    /// window_above] — what partial fetches of a visited band are clipped
+    /// to.
     double fetch_lo = 0.0;
     double fetch_hi = 0.0;
     std::vector<IncrementalTopK<Hit>> tops;  ///< one per block query
@@ -214,6 +215,10 @@ class RingService {
   /// for the local shard / unrouted path).
   std::span<const CandidateRecord> resident_records(int shard, int at_step,
                                                     const Flight& flight);
+  /// Score `flight`'s block against `resident` (records of `shard`),
+  /// charge the kernel's cost and absorb the hits into the flight's tops.
+  void score_flight(Flight& flight, int shard,
+                    std::span<const CandidateRecord> resident);
 
   sim::Comm& comm_;
   std::span<const Spectrum> queries_;

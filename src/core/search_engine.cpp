@@ -4,6 +4,7 @@
 #include <exception>
 #include <numeric>
 #include <optional>
+#include <ranges>
 #include <thread>
 
 #include "core/candidate_source.hpp"
@@ -138,28 +139,100 @@ double SearchEngine::score_candidate(const QueryContext& context,
 
 namespace {
 
-/// Score index entries [first, last) against all matching queries — the
-/// candidate-centric inner loop one thread runs. State it writes (tops,
-/// stats, per_query_candidates) is exclusively its own; everything else is
-/// read-only, which is what makes the fan-out race-free.
-void search_index_block(const SearchEngine& engine,
-                        const ProteinDatabase& shard,
-                        const CandidateIndex& index,
-                        const PreparedQueries& queries, std::size_t first,
-                        std::size_t last, std::span<TopK<Hit>> tops,
-                        ShardSearchStats& stats,
-                        std::vector<std::uint64_t>* per_query_candidates) {
+/// A shard's CandidateIndex as the block kernels see it: entry e's mass,
+/// its residues (a slice of the owning protein) and the hit it reports.
+struct IndexedCandidates {
+  const ProteinDatabase& shard;
+  std::span<const IndexedCandidate> entries;
+
+  std::size_t size() const { return entries.size(); }
+  double mass(std::size_t e) const { return entries[e].mass; }
+  std::string_view peptide(std::size_t e) const {
+    const IndexedCandidate& entry = entries[e];
+    return std::string_view(shard.proteins[entry.protein].residues)
+        .substr(entry.offset, entry.length);
+  }
+  Hit hit(std::size_t e, double score) const {
+    const IndexedCandidate& entry = entries[e];
+    return Hit{score,
+               shard.proteins[entry.protein].id,
+               entry.offset,
+               entry.length,
+               entry.end,
+               entry.mass,
+               std::string(peptide(e))};
+  }
+};
+
+/// The same view over a mass-ascending CandidateRecord span (a serving-ring
+/// band or a candidate-store fetch): each record carries its own residues
+/// and provenance.
+struct RecordCandidates {
+  std::span<const CandidateRecord> records;
+
+  std::size_t size() const { return records.size(); }
+  double mass(std::size_t e) const { return records[e].mass; }
+  std::string_view peptide(std::size_t e) const {
+    return {records[e].peptide, records[e].length};
+  }
+  Hit hit(std::size_t e, double score) const {
+    const CandidateRecord& record = records[e];
+    return Hit{score,
+               record.protein_id,  // NUL-padded → C string
+               record.offset,
+               record.length,
+               static_cast<FragmentEnd>(record.end),
+               record.mass,
+               std::string(peptide(e))};
+  }
+};
+
+/// Offer candidate e's hit at `score` to `top`, the admission every kernel
+/// shares. Offers are counted before the top-τ test so the counter (and the
+/// virtual clock built on it) is independent of visit order; a full list
+/// never admits a strictly worse score, so that test skips the Hit's string
+/// materialization.
+template <typename Candidates>
+void offer_hit(const SearchConfig& config, const Candidates& candidates,
+               std::size_t e, double score, TopK<Hit>& top,
+               ShardSearchStats& stats) {
+  if (score < config.score_cutoff) return;
+  ++stats.hits_offered;
+  if (top.full() && score < top.cutoff()) return;
+  top.offer(candidates.hit(e, score));
+}
+
+/// Score candidates [first, last) against all matching hypotheses — the
+/// candidate-major merge-join one thread runs, over either candidate view.
+/// State it writes (tops, stats, per_query_candidates) is exclusively its
+/// own; everything else is read-only, which is what makes the fan-out
+/// race-free.
+template <typename Candidates>
+void search_sorted_block(const SearchEngine& engine,
+                         const Candidates& candidates,
+                         const PreparedQueries& queries, std::size_t first,
+                         std::size_t last, std::span<TopK<Hit>> tops,
+                         ShardSearchStats& stats,
+                         std::vector<std::uint64_t>* per_query_candidates) {
   const SearchConfig& config = engine.config();
-  const double delta = config.tolerance_da;
-  const std::vector<IndexedCandidate>& entries = index.entries();
+  // A hypothesis m accepts candidate masses [m − below, m + above], so a
+  // candidate of mass M matches hypotheses [M − above, M + below] — exactly
+  // ±tolerance_da in narrow mode.
+  const double below = config.window_below();
+  const double above = config.window_above();
+  // One shared-peak screen: open search's vote gate, or the prefilter.
+  const bool screen = config.open_search() || config.prefilter;
+  const std::size_t gate = config.open_search()
+                               ? config.vote_gate()
+                               : config.prefilter_min_shared_peaks;
   const std::vector<double>& sorted = queries.sorted_masses;
 
-  // Merge-join: entries and query hypotheses are both mass-ascending, so the
-  // window [lo, hi) only ever slides forward. Bounds use the same predicates
-  // as the reference kernel's binary searches (>= mass-δ, <= mass+δ).
+  // Candidates and hypotheses are both mass-ascending, so the window
+  // [lo, hi) only ever slides forward. Bounds use the same predicates as the
+  // reference kernel's binary searches (>= M − above, <= M + below).
   std::size_t lo = static_cast<std::size_t>(
       std::lower_bound(sorted.begin(), sorted.end(),
-                       entries[first].mass - delta) -
+                       candidates.mass(first) - above) -
       sorted.begin());
   std::size_t hi = lo;
 
@@ -167,24 +240,21 @@ void search_index_block(const SearchEngine& engine,
   const TheoreticalOptions ion_options;  // same defaults as the string path
 
   for (std::size_t e = first; e < last; ++e) {
-    const IndexedCandidate& entry = entries[e];
-    const double mass = entry.mass;
-    while (lo < sorted.size() && sorted[lo] < mass - delta) ++lo;
+    const double mass = candidates.mass(e);
+    while (lo < sorted.size() && sorted[lo] < mass - above) ++lo;
     if (hi < lo) hi = lo;
-    while (hi < sorted.size() && sorted[hi] <= mass + delta) ++hi;
+    while (hi < sorted.size() && sorted[hi] <= mass + below) ++hi;
     if (lo == hi) continue;
 
-    const Protein& protein = shard.proteins[entry.protein];
-    const std::string_view peptide =
-        std::string_view(protein.residues).substr(entry.offset, entry.length);
-
-    // Built lazily on the first matching query — ions plus their SoA bin
-    // ladder — then shared by every query (and prefilter screen) this
-    // candidate reaches. All scoring below runs on the ladder.
+    const std::string_view peptide = candidates.peptide(e);
+    // Built lazily on the first matching hypothesis — ions plus their SoA
+    // bin ladder — then shared by every query (and screen) this candidate
+    // reaches. All scoring below runs on the ladder.
     bool built = false;
 
     for (std::size_t pos = lo; pos < hi; ++pos) {
       const std::uint32_t q = queries.order[pos];
+      const QueryContext& context = queries.contexts[q];
       if (per_query_candidates) ++(*per_query_candidates)[q];
       if (!built) {
         build_ion_ladder(fragment_ions_into(peptide, ion_options, workspace),
@@ -193,42 +263,24 @@ void search_index_block(const SearchEngine& engine,
         ++stats.ions_built;
       }
       double score;
-      if (config.prefilter) {
+      if (screen) {
         const std::size_t shared =
-            shared_peak_count(queries.contexts[q].binned(), workspace.ladder);
-        if (shared < config.prefilter_min_shared_peaks) {
+            shared_peak_count(context.binned(), workspace.ladder);
+        if (shared < gate) {
           ++stats.candidates_prefiltered;
-          continue;  // the aggressive screen: never fully scored
+          continue;  // screened out: never fully scored
         }
         // Under the shared-peak model the screen already IS the score —
         // reuse it instead of scoring the candidate a second time.
         score = config.model == ScoreModel::kSharedPeak
                     ? static_cast<double>(shared)
-                    : engine.score_candidate(queries.contexts[q], peptide,
+                    : engine.score_candidate(context, peptide,
                                              workspace.ladder);
       } else {
-        score =
-            engine.score_candidate(queries.contexts[q], peptide,
-                                   workspace.ladder);
+        score = engine.score_candidate(context, peptide, workspace.ladder);
       }
       ++stats.candidates_evaluated;
-      if (score < config.score_cutoff) continue;
-      // Counted before the top-τ admission test so the counter (and the
-      // virtual clock built on it) is independent of visit order.
-      ++stats.hits_offered;
-      TopK<Hit>& top = tops[q];
-      // A full list never admits a strictly worse score: skip before paying
-      // for the Hit's string materialization.
-      if (top.full() && score < top.cutoff()) continue;
-      Hit hit;
-      hit.score = score;
-      hit.protein_id = protein.id;
-      hit.offset = entry.offset;
-      hit.length = entry.length;
-      hit.end = entry.end;
-      hit.mass = mass;
-      hit.peptide = std::string(peptide);
-      top.offer(hit);
+      offer_hit(config, candidates, e, score, tops[q], stats);
     }
   }
 }
@@ -239,7 +291,7 @@ void search_index_block(const SearchEngine& engine,
 /// ordinal range, since entries are mass-ascending), the source gates the
 /// window down to candidates with enough matched ions, and only survivors
 /// are fully scored. Writes (tops, stats, per_query_candidates) are private
-/// to the thread, as in search_index_block.
+/// to the thread, as in search_sorted_block.
 void search_open_block(
     const SearchEngine& engine, const ProteinDatabase& shard,
     const CandidateIndex& index, const FragmentIndex* fragment,
@@ -252,6 +304,7 @@ void search_open_block(
   const double below = config.window_below();
   const double above = config.window_above();
   const std::vector<IndexedCandidate>& entries = index.entries();
+  const IndexedCandidates candidates{shard, entries};
   const std::vector<double>& sorted = queries.sorted_masses;
 
   // Per-thread source scratch: vote accumulators must not be shared.
@@ -296,11 +349,7 @@ void search_open_block(
                    lo, hi, survivors, stats);
 
     for (const std::uint32_t c : survivors) {
-      const IndexedCandidate& entry = entries[c];
-      const Protein& protein = shard.proteins[entry.protein];
-      const std::string_view peptide =
-          std::string_view(protein.residues).substr(entry.offset,
-                                                    entry.length);
+      const std::string_view peptide = candidates.peptide(c);
       build_ion_ladder(fragment_ions_into(peptide, ion_options, workspace),
                        config.bin_width, workspace.ladder);
       // The exhaustive source already built (and charged) every inspected
@@ -310,19 +359,7 @@ void search_open_block(
           engine.score_candidate(queries.contexts[q], peptide,
                                  workspace.ladder);
       ++stats.candidates_evaluated;
-      if (score < config.score_cutoff) continue;
-      ++stats.hits_offered;
-      TopK<Hit>& top = tops[q];
-      if (top.full() && score < top.cutoff()) continue;
-      Hit hit;
-      hit.score = score;
-      hit.protein_id = protein.id;
-      hit.offset = entry.offset;
-      hit.length = entry.length;
-      hit.end = entry.end;
-      hit.mass = entry.mass;
-      hit.peptide = std::string(peptide);
-      top.offer(hit);
+      offer_hit(config, candidates, c, score, tops[q], stats);
     }
   }
 }
@@ -383,6 +420,41 @@ void fan_out(const SearchEngine& engine, std::size_t threads,
   }
 }
 
+/// Trim a mass-ascending candidate view to the query envelope
+/// [min − window_below, max + window_above] and fan search_sorted_block
+/// over what remains: the one candidate-major path behind narrow
+/// search_shard() and search_records().
+template <typename Candidates>
+ShardSearchStats search_sorted(const SearchEngine& engine,
+                               const Candidates& candidates,
+                               const PreparedQueries& queries,
+                               std::span<TopK<Hit>> tops,
+                               std::vector<std::uint64_t>* per_query) {
+  ShardSearchStats stats;
+  if (queries.size() == 0 || candidates.size() == 0) return stats;
+  const SearchConfig& config = engine.config();
+  const double query_mass_floor = queries.min_mass() - config.window_below();
+  const double query_mass_ceil = queries.max_mass() + config.window_above();
+  const auto ordinals = std::views::iota(std::size_t{0}, candidates.size());
+  const auto below_floor = [&](std::size_t e) {
+    return candidates.mass(e) < query_mass_floor;
+  };
+  const std::size_t first = static_cast<std::size_t>(
+      std::ranges::partition_point(ordinals, below_floor) - ordinals.begin());
+  std::size_t last = first;
+  while (last < candidates.size() && candidates.mass(last) <= query_mass_ceil)
+    ++last;
+  if (first >= last) return stats;
+
+  const std::size_t threads =
+      std::clamp<std::size_t>(config.kernel_threads, 1, last - first);
+  fan_out(engine, threads, first, last, tops, stats, per_query,
+          [&](auto&&... block) {
+            search_sorted_block(engine, candidates, queries, block...);
+          });
+  return stats;
+}
+
 }  // namespace
 
 ShardSearchStats SearchEngine::search_shard(
@@ -411,27 +483,8 @@ ShardSearchStats SearchEngine::search_shard(
     return stats;
   }
 
-  const std::vector<IndexedCandidate>& entries = index->entries();
-  const double delta = config_.tolerance_da;
-  const double query_mass_floor = queries.min_mass() - delta;
-  const double query_mass_ceil = queries.max_mass() + delta;
-  const auto by_mass = [](const IndexedCandidate& entry, double mass) {
-    return entry.mass < mass;
-  };
-  const std::size_t first = static_cast<std::size_t>(
-      std::lower_bound(entries.begin(), entries.end(), query_mass_floor,
-                       by_mass) -
-      entries.begin());
-  std::size_t last = first;
-  while (last < entries.size() && entries[last].mass <= query_mass_ceil) ++last;
-  if (first >= last) return stats;
-
-  const std::size_t threads =
-      std::clamp<std::size_t>(config_.kernel_threads, 1, last - first);
-  fan_out(*this, threads, first, last, tops, stats, per_query_candidates,
-          [&](auto&&... block) {
-            search_index_block(*this, shard, *index, queries, block...);
-          });
+  stats += search_sorted(*this, IndexedCandidates{shard, index->entries()},
+                         queries, tops, per_query_candidates);
   return stats;
 }
 
@@ -491,102 +544,8 @@ ShardSearchStats SearchEngine::search_records(
     std::span<TopK<Hit>> tops) const {
   MSP_CHECK_MSG(tops.size() == queries.size(),
                 "tops arity must match query arity");
-  ShardSearchStats stats;
-  if (queries.size() == 0 || records.empty()) return stats;
-
-  // A hypothesis m accepts candidate masses [m − below, m + above], so from
-  // the candidate side a record of mass M matches hypotheses in
-  // [M − above, M + below] — below/above swap direction. Narrow mode has
-  // below == above == tolerance_da, leaving this loop exactly as it was.
-  const double below = config_.window_below();
-  const double above = config_.window_above();
-  const std::vector<double>& sorted = queries.sorted_masses;
-
-  // Trim the record span to the query envelope, then merge-join — the same
-  // forward-sliding window and boundary predicates as search_index_block.
-  const double query_mass_floor = queries.min_mass() - below;
-  const double query_mass_ceil = queries.max_mass() + above;
-  std::size_t first = static_cast<std::size_t>(
-      std::lower_bound(records.begin(), records.end(), query_mass_floor,
-                       [](const CandidateRecord& record, double mass) {
-                         return record.mass < mass;
-                       }) -
-      records.begin());
-  std::size_t last = first;
-  while (last < records.size() && records[last].mass <= query_mass_ceil)
-    ++last;
-  if (first >= last) return stats;
-
-  std::size_t lo = static_cast<std::size_t>(
-      std::lower_bound(sorted.begin(), sorted.end(),
-                       records[first].mass - above) -
-      sorted.begin());
-  std::size_t hi = lo;
-
-  FragmentIonWorkspace workspace;
-  const TheoreticalOptions ion_options;  // same defaults as the index path
-
-  for (std::size_t e = first; e < last; ++e) {
-    const CandidateRecord& record = records[e];
-    const double mass = record.mass;
-    while (lo < sorted.size() && sorted[lo] < mass - above) ++lo;
-    if (hi < lo) hi = lo;
-    while (hi < sorted.size() && sorted[hi] <= mass + below) ++hi;
-    if (lo == hi) continue;
-
-    const std::string_view peptide(record.peptide, record.length);
-    bool built = false;
-
-    for (std::size_t pos = lo; pos < hi; ++pos) {
-      const std::uint32_t q = queries.order[pos];
-      if (!built) {
-        build_ion_ladder(fragment_ions_into(peptide, ion_options, workspace),
-                         config_.bin_width, workspace.ladder);
-        built = true;
-        ++stats.ions_built;
-      }
-      double score;
-      if (config_.open_search()) {
-        // The same gate the CandidateSource paths apply — the record-band
-        // form of open search stays hit-identical to search_shard().
-        const std::size_t votes =
-            shared_peak_count(queries.contexts[q].binned(), workspace.ladder);
-        if (votes < config_.vote_gate()) {
-          ++stats.candidates_prefiltered;
-          continue;
-        }
-        score = score_candidate(queries.contexts[q], peptide, workspace.ladder);
-      } else if (config_.prefilter) {
-        const std::size_t shared =
-            shared_peak_count(queries.contexts[q].binned(), workspace.ladder);
-        if (shared < config_.prefilter_min_shared_peaks) {
-          ++stats.candidates_prefiltered;
-          continue;  // the aggressive screen: never fully scored
-        }
-        score = config_.model == ScoreModel::kSharedPeak
-                    ? static_cast<double>(shared)
-                    : score_candidate(queries.contexts[q], peptide,
-                                      workspace.ladder);
-      } else {
-        score = score_candidate(queries.contexts[q], peptide, workspace.ladder);
-      }
-      ++stats.candidates_evaluated;
-      if (score < config_.score_cutoff) continue;
-      ++stats.hits_offered;
-      TopK<Hit>& top = tops[q];
-      if (top.full() && score < top.cutoff()) continue;
-      Hit hit;
-      hit.score = score;
-      hit.protein_id = record.protein_id;  // NUL-padded → C string
-      hit.offset = record.offset;
-      hit.length = record.length;
-      hit.end = static_cast<FragmentEnd>(record.end);
-      hit.mass = mass;
-      hit.peptide = std::string(peptide);
-      top.offer(hit);
-    }
-  }
-  return stats;
+  return search_sorted(*this, RecordCandidates{records}, queries, tops,
+                       nullptr);
 }
 
 ShardSearchStats SearchEngine::search_shard_reference(
@@ -600,7 +559,7 @@ ShardSearchStats SearchEngine::search_shard_reference(
 
   // Candidate-major direction: a candidate of mass M matches hypotheses in
   // [M − window_above, M + window_below] (the below/above swap — see
-  // search_records). Narrow mode keeps below == above == tolerance_da.
+  // search_sorted_block). Narrow mode keeps below == above == tolerance_da.
   const double below = config_.window_below();
   const double above = config_.window_above();
   const double query_mass_floor = queries.min_mass() - below;

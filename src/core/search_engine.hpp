@@ -3,20 +3,29 @@
 // Candidate rule (Section II-A): a prefix or suffix of a database sequence
 // is a candidate for query q iff its neutral mass lies within m(q) ± δ.
 //
-// The kernel is *candidate-centric*: each shard carries a CandidateIndex —
-// its candidates already enumerated and mass-sorted — and search_shard()
-// merge-joins that array against the mass-sorted query hypotheses. Each
-// candidate's theoretical fragment ions are then built exactly once (into a
+// The kernel is *candidate-centric*: one merge-join walks a mass-ascending
+// candidate array against the mass-sorted query hypotheses. Each
+// candidate's theoretical fragment ions are built exactly once (into a
 // reusable workspace) and scored against every query whose window contains
 // it, instead of being regenerated per (candidate, query) pair. The paper's
 // Discussion identifies on-the-fly candidate generation as the dominant
 // query-processing cost; this is the HiCOPS-style fix. The original
 // database-walking kernel is retained as search_shard_reference() so tests
-// can prove the two are hit-for-hit and counter-for-counter identical.
+// can prove the kernels hit-for-hit and counter-for-counter identical.
 //
-// Every algorithm (serial, A, B, master–worker, query transport) funnels
-// through search_shard(), which is what makes the cross-algorithm
-// hit-for-hit validation meaningful.
+// Which algorithm uses which kernel:
+//   * search_shard(), narrow window — the candidate-major kernel over the
+//     shard's CandidateIndex. Serial, A, B, the hybrid, master–worker and
+//     query transport all funnel through it.
+//   * search_shard(), open/PTM window — the query-centric kernel: each
+//     hypothesis windows the index and a CandidateSource (exhaustive or
+//     fragment-index) gates the window before scoring.
+//   * search_records() — the same candidate-major kernel over a
+//     CandidateRecord span: the serving ring's bands and the candidate
+//     store's fetched ranges, in narrow and open mode alike.
+// Every algorithm funnels through these kernels, which is what makes the
+// cross-algorithm hit-for-hit validation meaningful; every path honours
+// kernel_threads.
 #pragma once
 
 #include <cstdint>
@@ -158,12 +167,13 @@ class SearchEngine {
 
   /// The record-array form of the candidate-centric kernel: merge-joins a
   /// mass-ascending CandidateRecord span (a band of the serving ring's
-  /// sorted record layout, or any partial fetch of one) against the sorted
-  /// query hypotheses, with the same window predicates, lazy one-build-per-
-  /// candidate ion generation, prefilter screen, and hit admission as
-  /// search_shard() — scores and hits are bit-identical to scoring the same
-  /// candidates through the index path. Single-threaded: a band visit
-  /// touches few records, so there is nothing to fan out.
+  /// sorted record layout, a candidate-store fetch, or any partial fetch of
+  /// one) against the sorted query hypotheses. It runs the very block
+  /// kernel narrow search_shard() runs, so scores, hits and counters are
+  /// bit-identical to scoring the same candidates through the index path.
+  /// In open mode the shared-peak screen applies vote_gate(), the gate both
+  /// CandidateSource paths apply, so hits match search_shard() there too.
+  /// Fans out over config().kernel_threads like search_shard().
   ShardSearchStats search_records(std::span<const CandidateRecord> records,
                                   const PreparedQueries& queries,
                                   std::span<TopK<Hit>> tops) const;

@@ -21,6 +21,7 @@
 #include "dbgen/protein_gen.hpp"
 #include "dbgen/query_gen.hpp"
 #include "io/fasta.hpp"
+#include "mass/ptm.hpp"
 #include "util/error.hpp"
 
 namespace msp {
@@ -395,21 +396,89 @@ TEST(MasterWorker, BatchSizeDoesNotChangeResults) {
 
 // ---------- candidate store (the paper's second proposed extension) ----------
 
-class CandidateStoreValidation : public ::testing::TestWithParam<int> {};
+/// The search modes the store must reproduce: the paper's narrow window,
+/// the prefilter screen, alternate charges, a ±50 Da open mass window
+/// (exhaustive source) and ±20 Da open search with phospho/oxidation rules
+/// on the fragment-index source.
+enum class StoreMode {
+  kNarrow,
+  kPrefilter,
+  kCharges,
+  kOpenWindow,
+  kOpenPtm,
+};
+
+struct StoreCase {
+  StoreMode mode = StoreMode::kNarrow;
+  int p = 1;
+};
+
+/// Narrow rows print as the bare rank count, so they keep their stable
+/// test names (`.../1` … `.../13`).
+void PrintTo(const StoreCase& c, std::ostream* os) {
+  static constexpr const char* kNames[] = {"", "prefilter", "charges",
+                                           "open", "open+ptm"};
+  if (c.mode != StoreMode::kNarrow)
+    *os << kNames[static_cast<int>(c.mode)] << " p=";
+  *os << c.p;
+}
+
+SearchConfig store_config(StoreMode mode) {
+  SearchConfig config = fixture().config;
+  switch (mode) {
+    case StoreMode::kNarrow:
+      break;
+    case StoreMode::kPrefilter:
+      config.prefilter = true;
+      break;
+    case StoreMode::kCharges:
+      config.try_alternate_charges = true;
+      break;
+    case StoreMode::kOpenWindow:
+      config.open_window_da = 50.0;
+      config.candidate_source = CandidateSourceKind::kMassWindow;
+      break;
+    case StoreMode::kOpenPtm:
+      config.open_window_da = 20.0;
+      config.ptms = {ptm_phospho_s(), ptm_phospho_t(), ptm_oxidation_m()};
+      config.candidate_source = CandidateSourceKind::kFragmentIndex;
+      break;
+  }
+  return config;
+}
+
+class CandidateStoreValidation
+    : public ::testing::TestWithParam<StoreCase> {};
 
 TEST_P(CandidateStoreValidation, ReproducesSerialOutput) {
   const Fixture& f = fixture();
-  const sim::Runtime runtime(GetParam());
+  const StoreCase c = GetParam();
+  const SearchConfig config = store_config(c.mode);
+  const QueryHits serial = SearchEngine(config).search(f.db, f.queries);
+  const sim::Runtime runtime(c.p);
   const CandidateStoreResult result =
-      run_candidate_store(runtime, f.image, f.queries, f.config);
-  expect_hits_equal(result.hits, f.serial,
-                    "store p=" + std::to_string(GetParam()));
-  EXPECT_GT(result.stored_candidates, 0u);
-  EXPECT_GE(result.build_seconds, 0.0);
+      run_candidate_store(runtime, f.image, f.queries, config);
+  const std::string label = "store " + ::testing::PrintToString(c);
+  expect_hits_equal(result.hits, serial, label);
+  EXPECT_GT(result.stored_candidates, 0u) << label;
+  EXPECT_GE(result.build_seconds, 0.0) << label;
+  // The store scores exactly the (hypothesis, candidate) pairs A does.
+  EXPECT_EQ(result.candidates,
+            run_algorithm_a(runtime, f.image, f.queries, config).candidates)
+      << label;
+}
+
+std::vector<StoreCase> store_cases() {
+  std::vector<StoreCase> cases;
+  for (const StoreMode mode :
+       {StoreMode::kNarrow, StoreMode::kPrefilter, StoreMode::kCharges,
+        StoreMode::kOpenWindow, StoreMode::kOpenPtm})
+    for (const int p : {1, 2, 3, 4, 8, 13}) cases.push_back({mode, p});
+  return cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(RankSweep, CandidateStoreValidation,
-                         ::testing::Values(1, 2, 3, 4, 8, 13));
+                         ::testing::ValuesIn(store_cases()));
 
 TEST(CandidateStore, EvaluationsMatchAlgorithmA) {
   const Fixture& f = fixture();

@@ -5,18 +5,22 @@
 // the retained database-walking kernel (search_shard_reference) across every
 // candidate mode, prefilter setting and charge-hypothesis setting — scores
 // compared bit-exactly, because both paths consume the same sorted ion
-// vectors in the same order. Second, intra-rank threading is invisible:
+// vectors in the same order — and the record path (search_records) over the
+// same candidates matches it too. Second, intra-rank threading is invisible:
 // any kernel_threads setting produces identical hits, identical counters
 // and (through the algorithms) byte-identical virtual-time traces, with and
 // without an injected fault schedule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/algorithm_a.hpp"
 #include "core/candidate_index.hpp"
+#include "core/candidate_record.hpp"
 #include "core/packdb.hpp"
 #include "core/search_engine.hpp"
 #include "dbgen/protein_gen.hpp"
@@ -92,6 +96,21 @@ KernelRun run_reference(const SearchEngine& engine, const ProteinDatabase& db,
   return run;
 }
 
+/// The record path over the same candidates: every record of `db`, sorted
+/// into the serving ring's band order, scored by search_records.
+KernelRun run_records(const SearchEngine& engine, const ProteinDatabase& db,
+                      const PreparedQueries& prepared) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<CandidateRecord> records =
+      enumerate_candidate_records(db, engine.config(), -kInf, kInf);
+  std::sort(records.begin(), records.end(), candidate_record_less);
+  KernelRun run;
+  std::vector<TopK<Hit>> tops = engine.make_tops(prepared.size());
+  run.stats = engine.search_records(records, prepared, tops);
+  run.hits = engine.finalize(tops);
+  return run;
+}
+
 /// Bit-exact hit comparison: the determinism claim is exact equality, not
 /// tolerance equality — both kernels sum the same doubles in the same order.
 void expect_hits_identical(const QueryHits& got, const QueryHits& want,
@@ -121,6 +140,22 @@ void expect_runs_identical(const KernelRun& got, const KernelRun& want,
       << label;
   EXPECT_EQ(got.stats.hits_offered, want.stats.hits_offered) << label;
   EXPECT_EQ(got.per_query, want.per_query) << label;
+}
+
+/// The record path reports no per-query counts, so it is compared on hits
+/// and the counters the virtual clock charges.
+void expect_record_run_matches(const KernelRun& records,
+                               const KernelRun& indexed,
+                               const std::string& label) {
+  expect_hits_identical(records.hits, indexed.hits, label);
+  EXPECT_EQ(records.stats.candidates_evaluated,
+            indexed.stats.candidates_evaluated)
+      << label;
+  EXPECT_EQ(records.stats.candidates_prefiltered,
+            indexed.stats.candidates_prefiltered)
+      << label;
+  EXPECT_EQ(records.stats.hits_offered, indexed.stats.hits_offered) << label;
+  EXPECT_EQ(records.stats.ions_built, indexed.stats.ions_built) << label;
 }
 
 // ---------- indexed kernel vs. retained reference ----------
@@ -158,6 +193,10 @@ TEST(KernelEquivalence, IndexedMatchesReferenceAcrossConfigs) {
                     indexed.stats.candidates_evaluated +
                         indexed.stats.candidates_prefiltered)
               << label;
+          // The record path is the same kernel over another view.
+          if (mode == CandidateMode::kPrefixSuffix)
+            expect_record_run_matches(run_records(engine, w.db, prepared),
+                                      indexed, label + " (records)");
         }
       }
     }
@@ -250,13 +289,13 @@ TEST(KernelThreads, AnyThreadCountProducesIdenticalResults) {
       const SearchEngine engine(config);
       const PreparedQueries prepared = engine.prepare(w.queries);
       const KernelRun run = run_indexed(engine, w.db, prepared);
-      if (threads == 1) {
-        baseline = run;
-        continue;
-      }
+      if (threads == 1) baseline = run;
       const std::string label =
           "kernel_threads=" + std::to_string(threads) +
           (stateful ? " (prefilter+charges)" : "");
+      expect_record_run_matches(run_records(engine, w.db, prepared), baseline,
+                                label + " (records)");
+      if (threads == 1) continue;
       expect_runs_identical(run, baseline, label);
       EXPECT_EQ(run.stats.ions_built, baseline.stats.ions_built) << label;
     }

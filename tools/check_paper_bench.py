@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Paper-fidelity gate over the text output of bench_space,
-bench_table2_runtime, bench_table3_rate and bench_table4_ab.
+bench_table2_runtime, bench_table3_rate, bench_table4_ab and
+bench_fig4_speedup.
 
-Run the four benches, save their stdout, and pass all four files:
+Run the five benches, save their stdout, and pass all five files:
 
   ./build/bench/bench_space > space.txt
   ./build/bench/bench_table2_runtime --sizes 16000 --queries 1210 \\
       --procs 8,64,128 > table2.txt
   ./build/bench/bench_table3_rate --procs 8,128 > table3.txt
   ./build/bench/bench_table4_ab --procs 1,16,64 > table4.txt
+  ./build/bench/bench_fig4_speedup > fig4.txt
   python3 tools/check_paper_bench.py --space space.txt --table2 table2.txt \\
-      --table3 table3.txt --table4 table4.txt
+      --table3 table3.txt --table4 table4.txt --fig4 fig4.txt
 
 Virtual-clock results are deterministic, so the bounds (the constants
 below) are tight margins under the measured values, not noise tolerances:
@@ -31,6 +33,9 @@ below) are tight margins under the measured values, not noise tolerances:
     p >= 16 (measured 3.70 vs 7.65 s at p=16, 1.32 vs 3.27 s at p=64).
   * Table IV's Algorithm B speedup at the largest p is >= MIN_B_SPEEDUP
     (10x) (measured 13.59x at p=64; the paper reports 10.4x).
+  * Fig. 4a's speedup on the 16,000-sequence row rises strictly from p=2
+    to p=64, and its p=64 speedup is >= MIN_FIG4_SPEEDUP (28x) (measured
+    1.84 -> 32.50x).
 
 Exit code 0 = pass, 1 = regression, 2 = malformed input.
 """
@@ -45,6 +50,7 @@ MIN_RESIDUAL = 0.10
 MAX_RESIDUAL = 0.50
 MIN_RATE_SCALING = 7.0
 MIN_B_SPEEDUP = 10.0
+MIN_FIG4_SPEEDUP = 28.0
 
 
 def fail(msg: str, code: int = 1) -> None:
@@ -92,6 +98,8 @@ def main() -> None:
                         help="bench_table3_rate stdout")
     parser.add_argument("--table4", required=True,
                         help="bench_table4_ab stdout")
+    parser.add_argument("--fig4", required=True,
+                        help="bench_fig4_speedup stdout")
     args = parser.parse_args()
     checked = []
 
@@ -165,6 +173,23 @@ def main() -> None:
     checked.append((f"Table IV: B speedup at p={rows[-1][0]}",
                     f"{b_speedup:.2f}x >= {MIN_B_SPEEDUP:.2f}x",
                     b_speedup >= MIN_B_SPEEDUP))
+
+    rows = table_rows(read(args.fig4))
+    if len(rows) < 2 or rows[0][0] != "DB size":
+        fail(f"{args.fig4}: no Fig. 4a speedup table", code=2)
+    header = rows[0]
+    by_size = {row[0]: row for row in rows[1:]}
+    if ("16,000" not in by_size or "p=2" not in header
+            or "p=64" not in header):
+        fail(f"{args.fig4}: no 16,000 row with p=2 .. p=64 columns", code=2)
+    columns = range(header.index("p=2"), header.index("p=64") + 1)
+    speedups = [number(by_size["16,000"][c], args.fig4) for c in columns]
+    rising = all(a < b for a, b in zip(speedups, speedups[1:]))
+    checked.append(("Fig. 4: 16,000 speedup rises from p=2 to p=64",
+                    " -> ".join(f"{x:.2f}" for x in speedups), rising))
+    checked.append(("Fig. 4: 16,000 speedup at p=64",
+                    f"{speedups[-1]:.2f}x >= {MIN_FIG4_SPEEDUP:.2f}x",
+                    speedups[-1] >= MIN_FIG4_SPEEDUP))
 
     ok = True
     for name, detail, passed in checked:
