@@ -16,14 +16,13 @@
 int main(int argc, char** argv) {
   msp::Cli cli("bench_table3_rate",
                "Table III: candidates evaluated per second vs processor size");
-  msp::bench::add_common_options(cli);
+  // 300 queries, heavier than the sweep default, so the rate stays
+  // compute-bound through p=128.
+  msp::bench::add_common_options(cli, 300);
   cli.add_int("sequences", 16000, "database size (sequence count)");
-  cli.add_int("rate-queries", 300,
-              "queries for this bench (heavier than the sweep default so the "
-              "rate stays compute-bound through p=128)");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto query_count = static_cast<std::size_t>(cli.get_int("rate-queries"));
+  const auto query_count = static_cast<std::size_t>(cli.get_int("queries"));
   const auto sequences = static_cast<std::size_t>(cli.get_int("sequences"));
   auto procs = cli.get_int_list("procs");
   std::erase_if(procs, [](std::int64_t p) { return p < 8; });  // paper starts at 8

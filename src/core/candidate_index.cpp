@@ -124,7 +124,7 @@ CandidateIndex::WindowedSlice CandidateIndex::rebuild_windowed(
   // rounding keeps an entry here iff the kernel would visit it.
   const auto reachable = [&](double mass) {
     if (open) {
-      // search_open_block: entries [m - below, m + above] per hypothesis m.
+      // collect_survivors: entries [m - below, m + above] per hypothesis m.
       const auto it = std::partition_point(
           first, last, [&](double m) { return m + above < mass; });
       return it != last && *it - below <= mass;

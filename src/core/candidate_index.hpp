@@ -79,7 +79,8 @@ class CandidateIndex {
   /// `sorted_masses` can reach, reusing the entry storage. An entry is kept
   /// iff the kernel `config` selects would visit it for some hypothesis m,
   /// tested with that kernel's own predicate: M in [m - window_below,
-  /// m + window_above] for open search (search_open_block), m in
+  /// m + window_above] for open search (collect_survivors, the window
+  /// search_shard's open-mode phase 1 gates), m in
   /// [M - window_above, M + window_below] for narrow search
   /// (search_sorted_block; ±tolerance there). Kept entries are sorted like
   /// build()'s. An entry no hypothesis reaches has no effect on the kernel,

@@ -53,11 +53,6 @@ void FragmentIndexCandidateSource::collect(
   }
   for (const std::uint32_t ordinal : touched_)
     if (votes_[ordinal] >= vote_gate_) out.push_back(ordinal);
-  // Touch order is bin order, not ordinal order: restore the ascending
-  // visit order the exhaustive source produces so the scoring loops offer
-  // hits identically (TopK is order-invariant, but determinism is easier
-  // to see — and to test — with one canonical order).
-  std::sort(out.begin(), out.end());
   for (const std::uint32_t ordinal : touched_) votes_[ordinal] = 0;
   touched_.clear();
 }

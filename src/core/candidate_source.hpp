@@ -46,8 +46,9 @@ class CandidateSource {
   /// reuses the build instead of charging a second one per survivor.
   virtual bool ions_prebuilt() const = 0;
 
-  /// Gather into `out` (cleared first) the ordinals — ascending, indexing
-  /// the CandidateIndex entries — of candidates in the ordinal window
+  /// Gather into `out` (cleared first) the ordinals — indexing the
+  /// CandidateIndex entries, in no particular order (the kernel sorts all
+  /// survivors candidate-major) — of candidates in the ordinal window
   /// [ordinal_lo, ordinal_hi) whose matched-ion count against `context`
   /// reaches the vote gate. `occupied_bins` lists the bins of
   /// context.binned() with nonzero intensity, ascending (only the

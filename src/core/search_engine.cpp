@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <exception>
+#include <memory>
 #include <numeric>
-#include <optional>
 #include <ranges>
 #include <thread>
 
@@ -285,92 +285,41 @@ void search_sorted_block(const SearchEngine& engine,
   }
 }
 
-/// Score hypothesis entries [first, last) through a CandidateSource — the
-/// query-centric open-search inner loop one thread runs. Each hypothesis
-/// windows [m − window_below, m + window_above] of the index (one contiguous
-/// ordinal range, since entries are mass-ascending), the source gates the
-/// window down to candidates with enough matched ions, and only survivors
-/// are fully scored. Writes (tops, stats, per_query_candidates) are private
-/// to the thread, as in search_sorted_block.
-void search_open_block(
-    const SearchEngine& engine, const ProteinDatabase& shard,
-    const CandidateIndex& index, const FragmentIndex* fragment,
-    const PreparedQueries& queries,
-    const std::vector<std::vector<std::uint32_t>>* occupied,
-    std::size_t first, std::size_t last, std::span<TopK<Hit>> tops,
-    ShardSearchStats& stats,
-    std::vector<std::uint64_t>* per_query_candidates) {
-  const SearchConfig& config = engine.config();
-  const double below = config.window_below();
-  const double above = config.window_above();
-  const std::vector<IndexedCandidate>& entries = index.entries();
-  const IndexedCandidates candidates{shard, entries};
-  const std::vector<double>& sorted = queries.sorted_masses;
-
-  // Per-thread source scratch: vote accumulators must not be shared.
-  MassWindowCandidateSource window_source(shard, index, config.vote_gate());
-  std::optional<FragmentIndexCandidateSource> index_source;
-  if (fragment != nullptr) index_source.emplace(*fragment, config.vote_gate());
-  CandidateSource& source =
-      fragment != nullptr ? static_cast<CandidateSource&>(*index_source)
-                          : static_cast<CandidateSource&>(window_source);
-  const bool prebuilt = source.ions_prebuilt();
-
-  FragmentIonWorkspace workspace;
-  const TheoreticalOptions ion_options;  // same defaults as every kernel
-  std::vector<std::uint32_t> survivors;
-  const auto entry_below = [](const IndexedCandidate& entry, double mass) {
-    return entry.mass < mass;
-  };
-  const auto entry_above = [](double mass, const IndexedCandidate& entry) {
-    return mass < entry.mass;
-  };
-
-  for (std::size_t k = first; k < last; ++k) {
-    const double mass = sorted[k];
-    const std::uint32_t q = queries.order[k];
-    const std::size_t lo = static_cast<std::size_t>(
-        std::lower_bound(entries.begin(), entries.end(), mass - below,
-                         entry_below) -
-        entries.begin());
-    const std::size_t hi = static_cast<std::size_t>(
-        std::upper_bound(entries.begin() + static_cast<std::ptrdiff_t>(lo),
-                         entries.end(), mass + above, entry_above) -
-        entries.begin());
-    // The Fig. 1b measurement stays "candidates in the precursor window" —
-    // identical for both sources (it is a property of the window alone).
-    if (per_query_candidates) (*per_query_candidates)[q] += hi - lo;
-    if (lo == hi) continue;
-
-    source.collect(queries.contexts[q],
-                   occupied != nullptr
-                       ? std::span<const std::uint32_t>((*occupied)[q])
-                       : std::span<const std::uint32_t>(),
-                   lo, hi, survivors, stats);
-
-    for (const std::uint32_t c : survivors) {
-      const std::string_view peptide = candidates.peptide(c);
-      build_ion_ladder(fragment_ions_into(peptide, ion_options, workspace),
-                       config.bin_width, workspace.ladder);
-      // The exhaustive source already built (and charged) every inspected
-      // candidate's ions; the indexed source only ever builds survivors'.
-      if (!prebuilt) ++stats.ions_built;
-      const double score =
-          engine.score_candidate(queries.contexts[q], peptide,
-                                 workspace.ladder);
-      ++stats.candidates_evaluated;
-      offer_hit(config, candidates, c, score, tops[q], stats);
-    }
+/// Run fn(t, first_t, last_t) over `threads` contiguous sub-ranges of
+/// [first, last), one thread each (inline when threads <= 1). A worker's
+/// exception is rethrown after every worker has joined, lowest thread first.
+template <typename Fn>
+void for_each_block(std::size_t threads, std::size_t first, std::size_t last,
+                    const Fn& fn) {
+  if (threads <= 1) {
+    fn(std::size_t{0}, first, last);
+    return;
   }
+  std::vector<std::exception_ptr> errors(threads);
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  const std::size_t width = last - first;
+  for (std::size_t t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      try {
+        fn(t, first + width * t / threads, first + width * (t + 1) / threads);
+      } catch (...) {
+        errors[t] = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& worker : pool) worker.join();
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
 }
 
 /// Run `block(first, last, tops, stats, per_query)` over [first, last),
-/// fanned over `threads` contiguous sub-ranges, one thread each, with fully
-/// private outputs merged in fixed thread order. The final lists depend only
-/// on the multiset of offers (TopK's total order), and every counter is a
-/// sum over independently processed items (index entries or hypotheses) —
-/// both partition-invariant — so any thread count produces identical
-/// results.
+/// fanned over `threads` contiguous sub-ranges with fully private outputs
+/// merged in fixed thread order. The final lists depend only on the
+/// multiset of offers (TopK's total order), and every counter is a sum over
+/// independently processed items (index entries, hypotheses or survivor
+/// groups) — both partition-invariant — so any thread count produces
+/// identical results.
 template <typename Block>
 void fan_out(const SearchEngine& engine, std::size_t threads,
              std::size_t first, std::size_t last, std::span<TopK<Hit>> tops,
@@ -384,39 +333,113 @@ void fan_out(const SearchEngine& engine, std::size_t threads,
     std::vector<TopK<Hit>> tops;
     ShardSearchStats stats;
     std::vector<std::uint64_t> per_query;
-    std::exception_ptr error;
   };
   std::vector<ThreadState> states(threads);
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  const std::size_t width = last - first;
-  for (std::size_t t = 0; t < threads; ++t) {
-    ThreadState& state = states[t];
+  for (ThreadState& state : states) {
     state.tops = engine.make_tops(tops.size());
     if (per_query) state.per_query.assign(tops.size(), 0);
-    const std::size_t block_first = first + width * t / threads;
-    const std::size_t block_last = first + width * (t + 1) / threads;
-    pool.emplace_back([&, block_first, block_last, t] {
-      ThreadState& mine = states[t];
-      try {
-        block(block_first, block_last, mine.tops, mine.stats,
-              per_query ? &mine.per_query : nullptr);
-      } catch (...) {
-        mine.error = std::current_exception();
-      }
-    });
   }
-  for (std::thread& worker : pool) worker.join();
-  for (ThreadState& state : states)
-    if (state.error) std::rethrow_exception(state.error);
-
-  for (std::size_t t = 0; t < threads; ++t) {
-    const ThreadState& state = states[t];
+  for_each_block(threads, first, last,
+                 [&](std::size_t t, std::size_t block_first,
+                     std::size_t block_last) {
+                   ThreadState& mine = states[t];
+                   block(block_first, block_last, mine.tops, mine.stats,
+                         per_query ? &mine.per_query : nullptr);
+                 });
+  for (const ThreadState& state : states) {
     for (std::size_t q = 0; q < tops.size(); ++q) tops[q].merge(state.tops[q]);
     stats += state.stats;
     if (per_query)
       for (std::size_t q = 0; q < state.per_query.size(); ++q)
         (*per_query)[q] += state.per_query[q];
+  }
+}
+
+/// One open-search gate survivor: index ordinal `ordinal` reached the vote
+/// gate for sorted hypothesis `hypothesis`. Ordered candidate-major.
+struct Survivor {
+  std::uint32_t ordinal;
+  std::uint32_t hypothesis;
+  auto operator<=>(const Survivor&) const = default;
+};
+
+/// Open-search phase 1 over hypothesis entries [first, last): window
+/// [m − window_below, m + window_above] of the index per hypothesis m (one
+/// contiguous ordinal range, since entries are mass-ascending), let the
+/// source gate the window, and append each survivor to `out`. `source` and
+/// every output are private to the calling thread.
+void collect_survivors(const SearchConfig& config, const CandidateIndex& index,
+                       const PreparedQueries& queries, CandidateSource& source,
+                       const std::vector<std::vector<std::uint32_t>>* occupied,
+                       std::size_t first, std::size_t last,
+                       std::vector<Survivor>& out, ShardSearchStats& stats,
+                       std::vector<std::uint64_t>* per_query_candidates) {
+  const double below = config.window_below();
+  const double above = config.window_above();
+  const std::vector<IndexedCandidate>& entries = index.entries();
+  const auto entry_below = [](const IndexedCandidate& entry, double mass) {
+    return entry.mass < mass;
+  };
+  const auto entry_above = [](double mass, const IndexedCandidate& entry) {
+    return mass < entry.mass;
+  };
+  std::vector<std::uint32_t> survivors;
+  for (std::size_t k = first; k < last; ++k) {
+    const double mass = queries.sorted_masses[k];
+    const std::uint32_t q = queries.order[k];
+    const std::size_t lo = static_cast<std::size_t>(
+        std::lower_bound(entries.begin(), entries.end(), mass - below,
+                         entry_below) -
+        entries.begin());
+    const std::size_t hi = static_cast<std::size_t>(
+        std::upper_bound(entries.begin() + static_cast<std::ptrdiff_t>(lo),
+                         entries.end(), mass + above, entry_above) -
+        entries.begin());
+    // The Fig. 1b measurement stays "candidates in the precursor window" —
+    // identical for both sources (it is a property of the window alone).
+    if (per_query_candidates) (*per_query_candidates)[q] += hi - lo;
+    if (lo == hi) continue;
+    source.collect(queries.contexts[q],
+                   occupied != nullptr
+                       ? std::span<const std::uint32_t>((*occupied)[q])
+                       : std::span<const std::uint32_t>(),
+                   lo, hi, survivors, stats);
+    for (const std::uint32_t c : survivors)
+      out.push_back(Survivor{c, static_cast<std::uint32_t>(k)});
+  }
+}
+
+/// Open-search phase 2 over candidate groups [first, last) of the sorted
+/// survivor list (group g is survivors [group_starts[g], group_starts[g+1])
+/// and shares one ordinal): build the group's ladder once and score it
+/// against every hypothesis it survived for. Writes (tops, stats) are
+/// private to the thread, as in search_sorted_block.
+void score_survivors(const SearchEngine& engine,
+                     const IndexedCandidates& candidates,
+                     const PreparedQueries& queries,
+                     std::span<const Survivor> survivors,
+                     std::span<const std::size_t> group_starts, bool prebuilt,
+                     std::size_t first, std::size_t last,
+                     std::span<TopK<Hit>> tops, ShardSearchStats& stats) {
+  const SearchConfig& config = engine.config();
+  FragmentIonWorkspace workspace;
+  const TheoreticalOptions ion_options;  // same defaults as every kernel
+  for (std::size_t g = first; g < last; ++g) {
+    const std::uint32_t c = survivors[group_starts[g]].ordinal;
+    const std::string_view peptide = candidates.peptide(c);
+    build_ion_ladder(fragment_ions_into(peptide, ion_options, workspace),
+                     config.bin_width, workspace.ladder);
+    // The exhaustive source already built (and charged) every inspected
+    // candidate's ions; the indexed source builds each survivor's once.
+    if (!prebuilt) ++stats.ions_built;
+    for (std::size_t i = group_starts[g]; i < group_starts[g + 1]; ++i) {
+      const std::uint32_t q = queries.order[survivors[i].hypothesis];
+      const double score =
+          engine.score_candidate(queries.contexts[q], peptide,
+                                 workspace.ladder);
+      ++stats.candidates_evaluated;
+      offer_hit(config, candidates, c, score, tops[q], stats);
+    }
   }
 }
 
@@ -529,12 +552,68 @@ ShardSearchStats SearchEngine::search_shard_open(
   const std::vector<std::vector<std::uint32_t>>* occupied_ptr =
       fragment != nullptr ? &occupied : nullptr;
 
-  const std::size_t threads =
+  // Phase 1, fanned over hypotheses: gate each hypothesis's window through a
+  // per-thread source (its vote scratch must not be shared) into a
+  // per-thread survivor buffer, concatenated in thread order.
+  struct CollectState {
+    std::unique_ptr<CandidateSource> source;
+    std::vector<Survivor> survivors;
+    ShardSearchStats stats;
+    std::vector<std::uint64_t> per_query;
+  };
+  const std::size_t collect_threads =
       std::clamp<std::size_t>(config_.kernel_threads, 1, hypotheses);
-  fan_out(*this, threads, 0, hypotheses, tops, stats, per_query_candidates,
-          [&](auto&&... block) {
-            search_open_block(*this, shard, index, fragment, queries,
-                              occupied_ptr, block...);
+  std::vector<CollectState> states(collect_threads);
+  for (CollectState& state : states) {
+    if (fragment != nullptr)
+      state.source = std::make_unique<FragmentIndexCandidateSource>(
+          *fragment, config_.vote_gate());
+    else
+      state.source = std::make_unique<MassWindowCandidateSource>(
+          shard, index, config_.vote_gate());
+    if (per_query_candidates) state.per_query.assign(queries.size(), 0);
+  }
+  const bool prebuilt = states.front().source->ions_prebuilt();
+  for_each_block(collect_threads, 0, hypotheses,
+                 [&](std::size_t t, std::size_t first, std::size_t last) {
+                   CollectState& mine = states[t];
+                   collect_survivors(
+                       config_, index, queries, *mine.source, occupied_ptr,
+                       first, last, mine.survivors, mine.stats,
+                       per_query_candidates ? &mine.per_query : nullptr);
+                 });
+  std::vector<Survivor> survivors;
+  for (CollectState& state : states) {
+    stats += state.stats;
+    if (per_query_candidates)
+      for (std::size_t q = 0; q < state.per_query.size(); ++q)
+        (*per_query_candidates)[q] += state.per_query[q];
+    survivors.insert(survivors.end(), state.survivors.begin(),
+                     state.survivors.end());
+  }
+  if (survivors.empty()) return stats;
+
+  // Phase 2, candidate-major: each distinct survivor's ladder is built once
+  // and scored against every hypothesis it survived for. The fan-out splits
+  // between whole candidate groups, so ions_built is thread-invariant.
+  std::sort(survivors.begin(), survivors.end());
+  std::vector<std::size_t> group_starts;
+  for (std::size_t i = 0; i < survivors.size(); ++i)
+    if (i == 0 || survivors[i].ordinal != survivors[i - 1].ordinal)
+      group_starts.push_back(i);
+  const std::size_t groups = group_starts.size();
+  group_starts.push_back(survivors.size());
+
+  const IndexedCandidates candidates{shard, index.entries()};
+  const std::size_t score_threads =
+      std::clamp<std::size_t>(config_.kernel_threads, 1, groups);
+  fan_out(*this, score_threads, 0, groups, tops, stats, nullptr,
+          [&](std::size_t first, std::size_t last,
+              std::span<TopK<Hit>> block_tops, ShardSearchStats& block_stats,
+              std::vector<std::uint64_t>*) {
+            score_survivors(*this, candidates, queries, survivors,
+                            group_starts, prebuilt, first, last, block_tops,
+                            block_stats);
           });
   return stats;
 }

@@ -17,9 +17,13 @@
 //   * search_shard(), narrow window — the candidate-major kernel over the
 //     shard's CandidateIndex. Serial, A, B, the hybrid, master–worker and
 //     query transport all funnel through it.
-//   * search_shard(), open/PTM window — the query-centric kernel: each
-//     hypothesis windows the index and a CandidateSource (exhaustive or
-//     fragment-index) gates the window before scoring.
+//   * search_shard(), open/PTM window — a two-phase kernel. Phase 1
+//     collects: each hypothesis windows the index and a CandidateSource
+//     (exhaustive or fragment-index) gates the window, recording every
+//     survivor as an (ordinal, hypothesis) pair. Phase 2 scores
+//     candidate-major: the pairs are sorted by ordinal, and each distinct
+//     survivor's ions are built once and scored against every hypothesis
+//     it survived for.
 //   * search_records() — the same candidate-major kernel over a
 //     CandidateRecord span: the serving ring's bands and the candidate
 //     store's fetched ranges, in narrow and open mode alike.
@@ -70,8 +74,9 @@ struct ShardSearchStats {
   /// Theoretical fragment-ion generations. The candidate-centric kernel
   /// builds each matched candidate's ions once and reuses them across every
   /// matching query/prefilter, so ions_built ≤ evaluated + prefiltered (with
-  /// strict inequality whenever candidates match several hypotheses); the
-  /// reference kernel regenerates per scoring call.
+  /// strict inequality whenever candidates match several hypotheses); with
+  /// the fragment-index source it is the number of distinct gate survivors,
+  /// ≤ evaluated. The reference kernel regenerates per scoring call.
   std::uint64_t ions_built = 0;
   /// Fragment-index postings visited during open-search lookups (the
   /// indexed source's whole per-candidate cost; always 0 in narrow-window
@@ -150,14 +155,19 @@ class SearchEngine {
   /// threads with per-thread top-τ lists merged under the total hit order —
   /// hits and counters are identical for every thread count.
   ///
-  /// When config().open_search() the kernel switches to the query-centric
-  /// open form: each hypothesis windows [m − window_below, m + window_above]
-  /// of the index, a CandidateSource gates the window down to candidates
-  /// with ≥ vote_gate() matched ions, and only survivors are fully scored.
-  /// `fragment` selects the indexed source (per candidate_source; a null
-  /// fragment with kAuto falls back to exhaustive enumeration — the
-  /// legacy-pack path); hits are bit-identical across sources, thread
-  /// counts, and fault schedules. Narrow-window search ignores `fragment`.
+  /// When config().open_search() the kernel runs in two phases. Collect:
+  /// each hypothesis windows [m − window_below, m + window_above] of the
+  /// index and a CandidateSource gates the window down to candidates with
+  /// ≥ vote_gate() matched ions (fanned over hypotheses; the Fig. 1b
+  /// per-query count is this window count). Score: the (survivor,
+  /// hypothesis) pairs are walked candidate-major, building each distinct
+  /// survivor's ions once and scoring it against every hypothesis it
+  /// survived for (fanned over whole candidate groups, so counters are
+  /// thread-invariant). `fragment` selects the indexed source (per
+  /// candidate_source; a null fragment with kAuto falls back to exhaustive
+  /// enumeration — the legacy-pack path); hits are bit-identical across
+  /// sources, thread counts, and fault schedules. Narrow-window search
+  /// ignores `fragment`.
   ShardSearchStats search_shard(
       const ProteinDatabase& shard, const PreparedQueries& queries,
       std::span<TopK<Hit>> tops,
@@ -218,8 +228,8 @@ class SearchEngine {
   std::vector<TopK<Hit>> make_tops(std::size_t query_count) const;
 
  private:
-  /// The query-centric open-search kernel behind search_shard(); `index`
-  /// has already been validated (or built) by the caller.
+  /// The two-phase open-search kernel behind search_shard(); `index` has
+  /// already been validated (or built) by the caller.
   ShardSearchStats search_shard_open(
       const ProteinDatabase& shard, const PreparedQueries& queries,
       std::span<TopK<Hit>> tops,

@@ -12,6 +12,7 @@
 // fallback to exhaustive enumeration for legacy pack images.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -192,14 +193,73 @@ TEST(OpenSearchOracle, SourcesMatchReferenceAcrossWindowsAndPtms) {
         EXPECT_EQ(indexed.per_query, exhaustive.per_query) << label;
 
         // The costs differ in the advertised direction: the indexed source
-        // builds ions only for survivors and pays postings scans instead.
+        // builds ions only for survivors, at most once each however many
+        // hypotheses they survive for, and pays postings scans instead.
         EXPECT_LT(indexed.stats.ions_built, exhaustive.stats.ions_built)
+            << label;
+        EXPECT_LE(indexed.stats.ions_built, indexed.stats.candidates_evaluated)
             << label;
         EXPECT_GT(indexed.stats.postings_scanned, 0u) << label;
         EXPECT_EQ(exhaustive.stats.postings_scanned, 0u) << label;
       }
     }
   }
+}
+
+// Candidate-major scoring: a candidate that survives the gate for several
+// hypotheses has its ions built once per shard search, not once per
+// hypothesis. The expected build count is derived independently, by running
+// the indexed source over each hypothesis's window and counting distinct
+// survivor ordinals.
+TEST(OpenSearchOracle, IndexedSearchBuildsEachSurvivorsIonsOnce) {
+  const Workload& w = workload();
+  SearchConfig config = open_config();
+  config.open_window_da = 100.0;
+  config.candidate_source = CandidateSourceKind::kFragmentIndex;
+  // Repeat a few queries so some survivors are shared by construction; the
+  // wide window makes neighbouring queries share survivors as well.
+  std::vector<Spectrum> queries = w.queries;
+  queries.insert(queries.end(), w.queries.begin(), w.queries.begin() + 4);
+
+  const CandidateIndex index = CandidateIndex::build(w.db, config);
+  const FragmentIndex fragment =
+      FragmentIndex::build(w.db, index, config.bin_width);
+  const SearchEngine engine(config);
+  const PreparedQueries prepared = engine.prepare(
+      std::span<const Spectrum>(queries.data(), queries.size()));
+  std::vector<TopK<Hit>> tops = engine.make_tops(prepared.size());
+  const ShardSearchStats indexed =
+      engine.search_shard(w.db, prepared, tops, nullptr, &index, &fragment);
+
+  FragmentIndexCandidateSource source(fragment, config.vote_gate());
+  ShardSearchStats scratch;
+  std::vector<std::uint32_t> survivors;
+  std::vector<bool> survived(index.size(), false);
+  std::uint64_t pairs = 0;
+  for (std::size_t k = 0; k < prepared.sorted_masses.size(); ++k) {
+    const double mass = prepared.sorted_masses[k];
+    std::size_t lo = 0;
+    while (lo < index.size() &&
+           index.entries()[lo].mass < mass - config.window_below())
+      ++lo;
+    std::size_t hi = lo;
+    while (hi < index.size() &&
+           index.entries()[hi].mass <= mass + config.window_above())
+      ++hi;
+    const QueryContext& context = prepared.contexts[prepared.order[k]];
+    source.collect(context, occupied_bins(context.binned()), lo, hi,
+                   survivors, scratch);
+    pairs += survivors.size();
+    for (const std::uint32_t ordinal : survivors) survived[ordinal] = true;
+  }
+  const auto distinct = static_cast<std::uint64_t>(
+      std::count(survived.begin(), survived.end(), true));
+
+  ASSERT_GT(distinct, 0u);
+  EXPECT_EQ(indexed.candidates_evaluated, pairs);
+  EXPECT_EQ(indexed.ions_built, distinct);
+  EXPECT_LT(indexed.ions_built, indexed.candidates_evaluated);
+  EXPECT_EQ(indexed.postings_scanned, scratch.postings_scanned);
 }
 
 TEST(OpenSearchOracle, NarrowSearchIgnoresFragmentIndex) {
@@ -233,7 +293,8 @@ TEST(FragmentIndexPostings, VotesEqualSharedPeakCountExactly) {
   for (const std::size_t q : {std::size_t{0}, std::size_t{5}}) {
     const QueryContext& context = prepared.contexts[q];
     // Accumulate votes the way the source does: walk the query's occupied
-    // bins, bump every posted ordinal (with multiplicity).
+    // bins, bump every posted ordinal (postings are deduplicated per
+    // (candidate, bin), so each bin adds at most one vote).
     std::vector<std::uint32_t> votes(index.size(), 0);
     for (const std::uint32_t bin : occupied_bins(context.binned()))
       for (const std::uint32_t ordinal : fragment.postings(bin))
