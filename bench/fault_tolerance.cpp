@@ -7,8 +7,8 @@
 // rank's query block and re-pull its shard from the ring replica) — plus the
 // master–worker baseline's crash recovery (the dead worker's in-flight batch
 // is re-queued). Output verification against the serial engine runs on every
-// row: a recovery that loses hits would show up here before it shows up in
-// a paper table.
+// row, and the process exits non-zero when any row is not exact: a recovery
+// that loses hits fails here before it shows up in a paper table.
 #include <iostream>
 #include <string>
 
@@ -90,6 +90,7 @@ int main(int argc, char** argv) {
 
   msp::Table table({"scenario", "p", "time (s)", "overhead %", "retries",
                     "recovery (s)", "exact"});
+  bool all_exact = true;
   for (auto p : procs) {
     double a_baseline = 0.0;
     double mw_baseline = 0.0;
@@ -114,11 +115,13 @@ int main(int argc, char** argv) {
       double& baseline = scenario.master_worker ? mw_baseline : a_baseline;
       if (baseline == 0.0) baseline = time;
       const double overhead = 100.0 * (time - baseline) / baseline;
+      const bool exact = hits_match(result.hits, serial);
+      all_exact = all_exact && exact;
       table.add_row({scenario.name, std::to_string(p),
                      msp::Table::cell(time), msp::Table::cell(overhead, 1),
                      std::to_string(result.report.total_transfer_retries()),
                      msp::Table::cell(result.report.total_recovery_seconds()),
-                     hits_match(result.hits, serial) ? "yes" : "NO"});
+                     exact ? "yes" : "NO"});
     }
   }
 
@@ -126,5 +129,10 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "'exact' = hit lists identical to the serial engine despite "
                "the injected faults\n";
+  if (!all_exact) {
+    std::cerr << "bench_fault_tolerance: a row's hits differ from the serial "
+                 "engine\n";
+    return 1;
+  }
   return 0;
 }

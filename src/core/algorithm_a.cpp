@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 
 #include "core/packdb.hpp"
 #include "core/partition.hpp"
@@ -11,7 +10,6 @@
 #include "mass/amino_acid.hpp"
 #include "scoring/top_hits.hpp"
 #include "simmpi/comm.hpp"
-#include "util/error.hpp"
 
 namespace msp {
 namespace detail {
@@ -31,15 +29,6 @@ int lowest_useful_rank(std::span<const MzBoundary> bounds,
 
 }  // namespace
 
-ProteinDatabase load_ring_shard(sim::Comm& comm,
-                                const std::string& fasta_image) {
-  ProteinDatabase db =
-      load_database_shard(fasta_image, comm.rank(), comm.size());
-  comm.clock().charge_io(static_cast<double>(db.total_residues()) *
-                         comm.compute_model().seconds_per_residue_load);
-  return db;
-}
-
 void ring_search_body(sim::Comm& comm, ProteinDatabase local_db,
                       const RingQuerySet& query_set, const SearchEngine& engine,
                       const AlgorithmAOptions& options, QueryHits& all_hits,
@@ -47,7 +36,6 @@ void ring_search_body(sim::Comm& comm, ProteinDatabase local_db,
   const int p = comm.size();
   const int rank = comm.rank();
   const auto& cost = comm.compute_model();
-  const sim::FaultModel& faults = comm.faults();
   const SearchConfig& config = engine.config();
 
   // ---- A1 (the load is the caller's): prepare the rank's query block ----
@@ -90,25 +78,6 @@ void ring_search_body(sim::Comm& comm, ProteinDatabase local_db,
     return s < group ? first + (offset + s) % group : -1;
   };
 
-  // Crash schedule in group-rank space. A scheduled step outside the ring's
-  // [0, steps) never fires on this communicator (it names a step of a
-  // longer ring).
-  auto crash_step_of = [&](int r) {
-    const int step = faults.crash_step(comm.global_rank_of(r));
-    return step >= 0 && step < steps ? step : -1;
-  };
-  const int my_crash_step = crash_step_of(rank);
-  const bool fault_tolerant = faults.has_crashes();
-  if (fault_tolerant) {
-    int survivors = 0;
-    for (int r = 0; r < p; ++r)
-      if (crash_step_of(r) < 0) ++survivors;
-    if (survivors == 0)
-      throw FaultUnrecoverable(
-          "fault schedule kills every rank of the ring — nobody left to "
-          "recover the query blocks");
-  }
-
   // ---- A2: ring rotation with masked one-sided transport ----
   // The ring carries the paper's plain shard image — residues only, O(N/p)
   // bytes. Each rank turns every shard it scores back into a CandidateIndex
@@ -121,32 +90,21 @@ void ring_search_body(sim::Comm& comm, ProteinDatabase local_db,
   // Indexed open search is the exception: its fragment-ion postings cost one
   // mass computation per theoretical ion, so the owner builds the candidate
   // and fragment indexes once and both ride in the image.
-  const bool ship_index =
-      config.open_search() &&
-      config.candidate_source != CandidateSourceKind::kMassWindow;
-  CandidateIndex local_index;  // shipped with the image in indexed open search
-  FragmentIndex local_fragment;
-  if (ship_index) {
-    local_index = CandidateIndex::build(local_db, config);
-    comm.clock().charge_compute(static_cast<double>(local_index.size()) *
-                                cost.seconds_per_mz);
-    // Build cost is one mass computation per posting (= per theoretical
-    // ion), the same unit as the index build.
-    local_fragment =
-        FragmentIndex::build(local_db, local_index, config.bin_width);
-    comm.clock().charge_compute(
-        static_cast<double>(local_fragment.posting_count()) *
-        cost.seconds_per_mz);
-  }
+  const bool ship_index = indexed_open_search(config);
+  ShardIndexes local_indexes;  // shipped with the image in indexed open search
+  if (ship_index) local_indexes = build_shard_indexes(comm, local_db, config);
   const std::vector<char> local_pack =
-      ship_index ? pack_database(local_db, local_index, local_fragment)
+      ship_index ? pack_database(local_db, local_indexes.index,
+                                 local_indexes.fragment)
                  : pack_database(local_db);
-  comm.charge_alloc(local_pack.size());  // D_local (window)
-  sim::Window window(comm, local_pack);
+  // Crash steps index this ring's steps: a step outside [0, steps) names a
+  // step of a longer ring and never fires here.
+  ShardRing ring(comm, steps);
+  ring.expose(local_pack);
 
   // Score one shard (`fetched`, or this rank's own when null) for `queries`
-  // and bump the kernel counters: the one shard step of the rotation and of
-  // recovery alike. A plain image is re-enumerated through the windowed
+  // and charge and count the search: the one shard step of the rotation and
+  // of recovery alike. A plain image is re-enumerated through the windowed
   // rebuild into storage every step reuses. That storage is a fourth buffer
   // next to D_local, D_recv and D_comp: the rank's memory account carries
   // its capacity, from the step it grows to the end of the run, like the
@@ -165,8 +123,8 @@ void ring_search_body(sim::Comm& comm, ProteinDatabase local_db,
       // Every image in this mode is packed above, with both trailers.
       stats = engine.search_shard(
           shard_db, queries, block_tops, nullptr,
-          fetched ? &fetched->index : &local_index,
-          fetched ? &fetched->fragment : &local_fragment);
+          fetched ? &fetched->index : &local_indexes.index,
+          fetched ? &fetched->fragment : &local_indexes.fragment);
     } else {
       const std::size_t budget = options.memory_budget_bytes;
       std::size_t max_entries = std::numeric_limits<std::size_t>::max();
@@ -192,96 +150,25 @@ void ring_search_body(sim::Comm& comm, ProteinDatabase local_db,
       comm.clock().charge_compute(static_cast<double>(enumerated) *
                                   cost.seconds_per_mz);
     }
-    comm.clock().charge_compute(kernel_cost_seconds(stats, cost));
-    comm.bump("candidates", stats.candidates_evaluated);
-    comm.bump("prefiltered", stats.candidates_prefiltered);
-    comm.bump("offers", stats.hits_offered);
-    comm.bump("ions", stats.ions_built);
-    if (config.open_search()) comm.bump("postings", stats.postings_scanned);
+    charge_shard_search(comm, stats, config);
   };
 
   // Report the top-τ lists of the queries whose block starts at `first`:
   // the one report step of A3 and of every adopted orphan block.
   auto report_hits = [&](std::vector<TopK<Hit>>& block_tops,
                          std::size_t first) {
-    QueryHits hits = engine.finalize(block_tops);
-    // Index-miss queries (no candidate cleared the vote gate anywhere) are
-    // the de novo fallback lane's input; the counter lets callers size it.
-    if (config.open_search()) {
-      std::uint64_t misses = 0;
-      for (const std::vector<Hit>& query_hits : hits)
-        if (query_hits.empty()) ++misses;
-      comm.bump("open_index_miss_queries", misses);
-    }
-    std::size_t reported = 0;
-    for (std::size_t q = 0; q < hits.size(); ++q) {
-      reported += hits[q].size();
-      all_hits[query_set.output_offset + first + q] = std::move(hits[q]);
-    }
-    comm.clock().charge_io(static_cast<double>(reported) *
-                           cost.seconds_per_hit_output);
-    comm.bump("hits_reported", reported);
+    const std::size_t offset = query_set.output_offset + first;
+    report_block_hits(comm, config, engine.finalize(block_tops), all_hits,
+                      [&](std::size_t q) { return offset + q; });
   };
 
-  std::size_t max_shard = 0;
-  for (int r = 0; r < p; ++r)
-    max_shard = std::max(max_shard, window.shard_size(r));
-  comm.charge_alloc(2 * max_shard);  // D_recv + D_comp
-
-  std::vector<char> comp_buffer = local_pack;  // D_comp starts as own shard
-  std::vector<char> recv_buffer;               // D_recv
-  const int pulls = comm.network().concurrent_pulls(p);
-
-  // Shard replication for crash recovery: every rank pulls its ring
-  // predecessor's shard before the rotation starts (so the copy exists
-  // before any crash can fire) and exposes it through a second window.
-  // A dead rank's shard then stays reachable at its successor.
-  std::vector<char> replica;
-  std::optional<sim::Window> replica_window;
-  if (fault_tolerant) {
-    const int predecessor = (rank + p - 1) % p;
-    sim::RmaRequest pull = window.rget(predecessor, replica, pulls);
-    window.wait(pull);
-    comm.charge_alloc(replica.size());
-    replica_window.emplace(
-        comm, std::span<const char>(replica.data(), replica.size()));
-  }
-
-  // One-sided fetch of shard `owner` issued at ring step `at_step`,
-  // rerouted to the replica when the owner is already dead at issue time
-  // (crashes are step-boundary events: a transfer issued before the
-  // owner's crash step completes normally).
-  struct ShardFetch {
-    sim::RmaRequest request;
-    sim::Window* window = nullptr;
-  };
-  auto owner_dead_at = [&](int owner, int at_step) {
-    const int step = crash_step_of(owner);
-    return step >= 0 && step <= at_step;
-  };
-  auto fetch_shard = [&](int owner, int at_step,
-                         std::vector<char>& dest) -> ShardFetch {
-    if (!owner_dead_at(owner, at_step))
-      return ShardFetch{window.rget(owner, dest, pulls), &window};
-    const int holder = (owner + 1) % p;
-    if (owner_dead_at(holder, at_step))
-      throw FaultUnrecoverable("shard " + std::to_string(owner) +
-                               ": owner and replica holder " +
-                               std::to_string(holder) + " both crashed");
-    return ShardFetch{replica_window->rget(holder, dest, pulls),
-                      &*replica_window};
-  };
-
-  int comp_shard = rank;  // shard image resident in comp_buffer
   for (int s = 0; s < steps; ++s) {
     comm.trace_mark("A2 ring step " + std::to_string(s));
-    if (my_crash_step >= 0 && s >= my_crash_step) {
-      if (s == my_crash_step)
-        comm.mark_crashed("ring step " + std::to_string(s));
+    if (ring.zombie_at(s, "ring step")) {
       // Fail-stop zombie: the simulated host is gone, but the thread keeps
       // matching the survivors' collectives so fence epochs and window
       // lifetimes stay aligned while they recover.
-      if (options.fence_per_iteration) window.fence();
+      if (options.fence_per_iteration) ring.fence();
       continue;
     }
 
@@ -289,53 +176,44 @@ void ring_search_body(sim::Comm& comm, ProteinDatabase local_db,
     const int next = shard_at(s + 1);
 
     // Non-blocking request for the next iteration's shard (A2's masking):
-    // issued before this iteration's computation.
-    ShardFetch prefetch;
-    if (options.mask && next >= 0) prefetch = fetch_shard(next, s, recv_buffer);
+    // issued before this iteration's computation. When no previous step's
+    // mask delivered the current shard (the unmasked variant, or a group
+    // that starts past the own shard), resident() fetches it blocking,
+    // fully exposing the transfer.
+    if (options.mask && next >= 0) ring.prefetch(next, s);
     if (current >= 0) {
-      if (current != rank && comp_shard != current) {
-        // Nothing delivered this shard under a previous step's mask (the
-        // unmasked variant, or a group that starts past the own shard):
-        // fetch it blocking, fully exposing the transfer.
-        ShardFetch fetch = fetch_shard(current, s, comp_buffer);
-        fetch.window->wait(fetch.request);
-        comp_shard = current;
-      }
       PackedShard fetched;
-      if (current != rank) fetched = unpack_shard(comp_buffer);
+      if (current != rank) fetched = unpack_shard(ring.resident(current, s));
       score_shard(current == rank ? nullptr : &fetched, prepared, tops);
     }
-
-    if (options.mask && prefetch.request.active) {
-      prefetch.window->wait(prefetch.request);
-      std::swap(comp_buffer, recv_buffer);
-      comp_shard = next;
-    }
-    if (options.fence_per_iteration) window.fence();
+    ring.complete_prefetch();
+    if (options.fence_per_iteration) ring.fence();
   }
   // Window close is collective (MPI_Win_free): no rank may free its
   // exposed shard while another can still read it.
-  window.fence();
+  ring.fence();
 
   // ---- A2': survivors adopt the dead ranks' query blocks ----
-  if (fault_tolerant) {
+  const bool survivor = ring.crash_step(rank) < 0;
+  if (ring.fault_tolerant()) {
     std::vector<int> alive;
     std::vector<int> dead;
     for (int r = 0; r < p; ++r)
-      (crash_step_of(r) < 0 ? alive : dead).push_back(r);
+      (ring.crash_step(r) < 0 ? alive : dead).push_back(r);
 
-    if (!dead.empty() && my_crash_step < 0) {
+    if (!dead.empty() && survivor) {
       comm.trace_mark("A2' recovery re-search");
       // Omniscient deterministic failure detection: the schedule is known
       // to every rank, so survivors charge the detection timeout once
       // instead of simulating a heartbeat protocol.
-      comm.charge_recovery(faults.crash_detection_timeout_s,
+      comm.charge_recovery(comm.faults().crash_detection_timeout_s,
                            "declared " + std::to_string(dead.size()) +
                                " rank(s) dead");
       const double research_start = comm.clock().now();
       const int my_index = static_cast<int>(
           std::find(alive.begin(), alive.end(), rank) - alive.begin());
       std::uint64_t adopted_total = 0;
+      std::vector<char> pulled;
 
       for (const int d : dead) {
         const QueryRange dead_block =
@@ -360,9 +238,8 @@ void ring_search_body(sim::Comm& comm, ProteinDatabase local_db,
              ++shard) {
           PackedShard fetched;
           if (shard != rank) {
-            ShardFetch fetch = fetch_shard(shard, steps, recv_buffer);
-            fetch.window->wait(fetch.request);
-            fetched = unpack_shard(recv_buffer);
+            ring.pull(shard, steps, pulled);
+            fetched = unpack_shard(pulled);
           }
           score_shard(shard == rank ? nullptr : &fetched, orphan_prepared,
                       orphan_tops);
@@ -377,14 +254,13 @@ void ring_search_body(sim::Comm& comm, ProteinDatabase local_db,
           "re-searched " + std::to_string(adopted_total) +
               " orphaned query(ies) against all shards");
     }
-    // Replica windows close collectively once every survivor is done
-    // re-pulling; zombies attend so their exposed buffers stay alive.
-    replica_window->fence();
   }
+  // The replica window closes once every survivor is done re-pulling.
+  ring.close();
 
   // ---- A3: report the top-τ lists for the local queries ----
   comm.trace_mark("A3 finalize");
-  if (my_crash_step < 0) report_hits(tops, block.begin);
+  if (survivor) report_hits(tops, block.begin);
 }
 
 }  // namespace detail
@@ -395,28 +271,19 @@ ParallelRunResult run_algorithm_a(const sim::Runtime& runtime,
                                   const SearchConfig& config,
                                   const AlgorithmAOptions& options) {
   const SearchEngine engine(config);
-
-  // Per-query output slots; each query is owned by exactly one rank (its
-  // block owner, or on a crash the surviving adopter), so the ranks write
-  // disjoint elements (no synchronization needed beyond join).
-  QueryHits all_hits(queries.size());
-
-  sim::RunReport report = runtime.run([&](sim::Comm& comm) {
-    if (options.memory_budget_bytes != 0)
-      comm.set_memory_budget(options.memory_budget_bytes);
-    comm.trace_mark("A1 load+prepare");
-    detail::ring_search_body(
-        comm, detail::load_ring_shard(comm, fasta_image),
-        detail::RingQuerySet{
-            std::span<const Spectrum>(queries.data(), queries.size()), 0},
-        engine, options, all_hits);
-  });
-
-  ParallelRunResult result;
-  result.candidates = report.sum_counter("candidates");
-  result.report = std::move(report);
-  result.hits = std::move(all_hits);
-  return result;
+  // Each query is owned by exactly one rank (its block owner, or on a crash
+  // the surviving adopter), so the ranks write disjoint hit slots (no
+  // synchronization needed beyond join).
+  return detail::run_batch(
+      runtime, queries.size(), options.memory_budget_bytes,
+      [&](sim::Comm& comm, QueryHits& all_hits) {
+        comm.trace_mark("A1 load+prepare");
+        detail::ring_search_body(
+            comm, detail::load_ring_shard(comm, fasta_image),
+            detail::RingQuerySet{
+                std::span<const Spectrum>(queries.data(), queries.size()), 0},
+            engine, options, all_hits);
+      });
 }
 
 }  // namespace msp

@@ -28,42 +28,34 @@ HybridResult run_algorithm_hybrid(const sim::Runtime& runtime,
                 "group count " << groups << " must divide p=" << p);
   const int group_size = p / groups;
   const SearchEngine engine(config);
+  HybridResult result = detail::run_batch<HybridResult>(
+      runtime, queries.size(), options.memory_budget_bytes,
+      [&](sim::Comm& world, QueryHits& all_hits) {
+        // Sub-groups are contiguous rank blocks: group = rank / group_size.
+        const int color = world.rank() / group_size;
+        world.trace_mark("hybrid split g=" + std::to_string(color));
+        const std::unique_ptr<sim::Comm> sub = world.split(color);
 
-  QueryHits all_hits(queries.size());
+        // Queries partition across groups, then across the group's members
+        // (the ring body derives each member's block — and, under crash
+        // recovery, each survivor's share of a dead member's block — from
+        // the group's slice); the database partitions within each group
+        // (every group holds all of it — per-rank memory O(N·g/p)).
+        const QueryRange group_block =
+            query_block(queries.size(), color, groups);
+        sub->trace_mark("A1 load+prepare");
+        detail::ring_search_body(
+            *sub, detail::load_ring_shard(*sub, fasta_image),
+            detail::RingQuerySet{
+                std::span<const Spectrum>(queries.data() + group_block.begin,
+                                          group_block.count()),
+                group_block.begin},
+            engine, options, all_hits);
 
-  sim::RunReport report = runtime.run([&](sim::Comm& world) {
-    if (options.memory_budget_bytes != 0)
-      world.set_memory_budget(options.memory_budget_bytes);
-
-    // Sub-groups are contiguous rank blocks: group = rank / group_size.
-    const int color = world.rank() / group_size;
-    world.trace_mark("hybrid split g=" + std::to_string(color));
-    const std::unique_ptr<sim::Comm> sub = world.split(color);
-
-    // Queries partition across groups, then across the group's members
-    // (the ring body derives each member's block — and, under crash
-    // recovery, each survivor's share of a dead member's block — from the
-    // group's slice); the database partitions within each group (every
-    // group holds all of it — per-rank memory O(N·g/p)).
-    const QueryRange group_block = query_block(queries.size(), color, groups);
-    sub->trace_mark("A1 load+prepare");
-    detail::ring_search_body(
-        *sub, detail::load_ring_shard(*sub, fasta_image),
-        detail::RingQuerySet{
-            std::span<const Spectrum>(queries.data() + group_block.begin,
-                                      group_block.count()),
-            group_block.begin},
-        engine, options, all_hits);
-
-    // Groups finish at different times; the job ends when all do.
-    world.barrier();
-  });
-
-  HybridResult result;
-  result.candidates = report.sum_counter("candidates");
+        // Groups finish at different times; the job ends when all do.
+        world.barrier();
+      });
   result.groups_used = groups;
-  result.report = std::move(report);
-  result.hits = std::move(all_hits);
   return result;
 }
 

@@ -5,6 +5,7 @@
 
 #include "core/partition.hpp"
 #include "core/search_engine.hpp"
+#include "core/shard_ring.hpp"
 #include "io/wire_record.hpp"
 #include "mass/amino_acid.hpp"
 #include "scoring/top_hits.hpp"
@@ -81,21 +82,19 @@ CandidateStoreResult run_candidate_store(const sim::Runtime& runtime,
                 "candidate store caps peptide length at 63 residues");
   const int p = runtime.size();
   const SearchEngine engine(config);
+  // No recovery path: the store has no replica of a dead rank's records, so
+  // a crash schedule is rejected up front (deterministic and typed).
+  if (runtime.faults().has_crashes())
+    throw FaultUnrecoverable("candidate store has no crash recovery");
 
-  QueryHits all_hits(queries.size());
-
-  sim::RunReport report = runtime.run([&](sim::Comm& comm) {
+  auto body = [&](sim::Comm& comm, QueryHits& all_hits) {
     const int rank = comm.rank();
     const auto& cost = comm.compute_model();
-    if (options.memory_budget_bytes != 0)
-      comm.set_memory_budget(options.memory_budget_bytes);
 
     // ---- build: load, window, enumerate, sort ----
     comm.trace_mark("store build");
     const double build_start = comm.clock().now();
-    ProteinDatabase local_db = load_database_shard(fasta_image, rank, p);
-    comm.clock().charge_io(static_cast<double>(local_db.total_residues()) *
-                           cost.seconds_per_residue_load);
+    ProteinDatabase local_db = detail::load_ring_shard(comm, fasta_image);
 
     const QueryRange block = query_block(queries.size(), rank, p);
     const std::span<const Spectrum> local_queries(queries.data() + block.begin,
@@ -196,33 +195,25 @@ CandidateStoreResult run_candidate_store(const sim::Runtime& runtime,
     }
     comm.clock().charge_compute(static_cast<double>(stats.hits_offered) *
                                 cost.seconds_per_hit_update);
-    comm.bump("candidates", stats.candidates_evaluated);
+    detail::count_shard_search(comm, stats, config);
     comm.bump("fetches", fetches);
 
     // Window close is collective.
     comm.barrier();
 
-    QueryHits local_hits = engine.finalize(tops);
-    std::size_t reported = 0;
-    for (std::size_t q = 0; q < local_hits.size(); ++q) {
-      reported += local_hits[q].size();
-      all_hits[block.begin + q] = std::move(local_hits[q]);
-    }
-    comm.clock().charge_io(static_cast<double>(reported) *
-                           cost.seconds_per_hit_output);
-  });
+    detail::report_block_hits(comm, config, engine.finalize(tops), all_hits,
+                              [&](std::size_t q) { return block.begin + q; });
+  };
 
-  CandidateStoreResult result;
-  result.candidates = report.sum_counter("candidates");
-  result.stored_candidates = report.sum_counter("stored");
-  for (const auto& r : report.ranks) {
+  auto result = detail::run_batch<CandidateStoreResult>(
+      runtime, queries.size(), options.memory_budget_bytes, body);
+  result.stored_candidates = result.report.sum_counter("stored");
+  for (const auto& r : result.report.ranks) {
     auto it = r.counters.find("build_us");
     if (it != r.counters.end())
       result.build_seconds = std::max(
           result.build_seconds, static_cast<double>(it->second) * 1e-6);
   }
-  result.report = std::move(report);
-  result.hits = std::move(all_hits);
   return result;
 }
 

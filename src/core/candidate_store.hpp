@@ -49,6 +49,9 @@ struct CandidateStoreResult : ParallelRunResult {
   double build_seconds = 0.0;          ///< max over ranks (store + sort)
 };
 
+/// Throws FaultUnrecoverable when the runtime's fault schedule has crashes:
+/// the store keeps no replica of a rank's records, so it has no recovery
+/// path.
 CandidateStoreResult run_candidate_store(
     const sim::Runtime& runtime, const std::string& fasta_image,
     const std::vector<Spectrum>& queries, const SearchConfig& config,

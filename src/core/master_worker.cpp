@@ -6,6 +6,7 @@
 
 #include "core/packdb.hpp"
 #include "core/search_engine.hpp"
+#include "core/shard_ring.hpp"
 #include "core/wire.hpp"
 #include "io/fasta.hpp"
 #include "scoring/top_hits.hpp"
@@ -62,21 +63,17 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
           "master-worker: fault schedule kills every worker");
   }
 
-  QueryHits all_hits(queries.size());
-
-  sim::RunReport report = runtime.run([&](sim::Comm& comm) {
+  auto body = [&](sim::Comm& comm, QueryHits& all_hits) {
     const int rank = comm.rank();
     const auto& cost = comm.compute_model();
-    if (options.memory_budget_bytes != 0)
-      comm.set_memory_budget(options.memory_budget_bytes);
 
     // Worker-side search of one query batch against the full database. The
-    // worker's candidate index is built once at load time and reused by
-    // every batch it is dealt.
+    // worker's candidate index (and, in indexed open search, its fragment
+    // index) is built once at load time and reused by every batch it is
+    // dealt.
     auto process_batch = [&](const ProteinDatabase& db,
-                             const CandidateIndex& index,
-                             const FragmentIndex* fragment, std::size_t begin,
-                             std::size_t count) {
+                             const detail::ShardIndexes& indexes,
+                             std::size_t begin, std::size_t count) {
       comm.trace_mark("batch [" + std::to_string(begin) + ", " +
                       std::to_string(begin + count) + ")");
       const std::span<const Spectrum> batch(queries.data() + begin, count);
@@ -84,28 +81,11 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
       comm.clock().charge_compute(static_cast<double>(count) *
                                   cost.seconds_per_query_prep);
       std::vector<TopK<Hit>> tops = engine.make_tops(count);
-      const ShardSearchStats stats =
-          engine.search_shard(db, prepared, tops, nullptr, &index, fragment);
-      comm.clock().charge_compute(kernel_cost_seconds(stats, cost));
-      comm.bump("candidates", stats.candidates_evaluated);
-      comm.bump("prefiltered", stats.candidates_prefiltered);
-      comm.bump("ions", stats.ions_built);
-      if (config.open_search())
-        comm.bump("postings", stats.postings_scanned);
-      QueryHits hits = engine.finalize(tops);
-      if (config.open_search()) {
-        std::uint64_t misses = 0;
-        for (const std::vector<Hit>& per_query : hits)
-          if (per_query.empty()) ++misses;
-        comm.bump("open_index_miss_queries", misses);
-      }
-      std::size_t reported = 0;
-      for (std::size_t q = 0; q < hits.size(); ++q) {
-        reported += hits[q].size();
-        all_hits[begin + q] = std::move(hits[q]);
-      }
-      comm.clock().charge_io(static_cast<double>(reported) *
-                             cost.seconds_per_hit_output);
+      const ShardSearchStats stats = engine.search_shard(
+          db, prepared, tops, nullptr, &indexes.index, &indexes.fragment);
+      detail::charge_shard_search(comm, stats, config);
+      detail::report_block_hits(comm, config, engine.finalize(tops), all_hits,
+                                [&](std::size_t q) { return begin + q; });
     };
 
     // Every worker loads the ENTIRE database — the O(N) space baseline.
@@ -120,39 +100,16 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
       return db;
     };
 
-    auto build_index = [&](const ProteinDatabase& db) {
-      CandidateIndex index = CandidateIndex::build(db, engine.config());
-      comm.clock().charge_compute(static_cast<double>(index.size()) *
-                                  cost.seconds_per_mz);
-      return index;
-    };
-
-    // Workers hold the whole database, so the fragment index is built once
-    // at load time (never shipped) and reused by every batch.
-    auto build_fragment = [&](const ProteinDatabase& db,
-                              const CandidateIndex& index) {
-      FragmentIndex fragment;
-      if (config.open_search() &&
-          config.candidate_source != CandidateSourceKind::kMassWindow) {
-        fragment = FragmentIndex::build(db, index, config.bin_width);
-        comm.clock().charge_compute(
-            static_cast<double>(fragment.posting_count()) *
-            cost.seconds_per_mz);
-      }
-      return fragment;
-    };
-
     if (p == 1) {
       // Uni-worker degenerate case: serial MSPolygraph.
       const ProteinDatabase db = load_full_database();
-      const CandidateIndex index = build_index(db);
-      const FragmentIndex fragment = build_fragment(db, index);
+      const detail::ShardIndexes indexes =
+          detail::build_shard_indexes(comm, db, config);
       for (std::size_t begin = 0; begin < queries.size();
            begin += options.batch_size) {
         const std::size_t count =
             std::min(options.batch_size, queries.size() - begin);
-        process_batch(db, index, fragment.empty() ? nullptr : &fragment, begin,
-                      count);
+        process_batch(db, indexes, begin, count);
       }
       return;
     }
@@ -235,8 +192,8 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
       // processing and notifies the master.
       const int my_crash_batch = faults.crash_step(comm.global_rank());
       const ProteinDatabase db = load_full_database();
-      const CandidateIndex index = build_index(db);
-      const FragmentIndex fragment = build_fragment(db, index);
+      const detail::ShardIndexes indexes =
+          detail::build_shard_indexes(comm, db, config);
       int batches_received = 0;
       while (true) {
         comm.send(0, kTagReady, {});
@@ -257,17 +214,12 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
         }
         ++batches_received;
         const auto [begin, count] = decode_batch(reply.payload);
-        process_batch(db, index, fragment.empty() ? nullptr : &fragment, begin,
-                      count);
+        process_batch(db, indexes, begin, count);
       }
     }
-  });
-
-  ParallelRunResult result;
-  result.candidates = report.sum_counter("candidates");
-  result.report = std::move(report);
-  result.hits = std::move(all_hits);
-  return result;
+  };
+  return detail::run_batch(runtime, queries.size(),
+                           options.memory_budget_bytes, body);
 }
 
 }  // namespace msp

@@ -5,6 +5,7 @@
 #include "core/packdb.hpp"
 #include "core/partition.hpp"
 #include "core/search_engine.hpp"
+#include "core/shard_ring.hpp"
 #include "core/wire.hpp"
 #include "scoring/top_hits.hpp"
 #include "simmpi/comm.hpp"
@@ -61,43 +62,28 @@ ParallelRunResult run_query_transport(const sim::Runtime& runtime,
                                       const QueryTransportOptions& options) {
   const int p = runtime.size();
   const SearchEngine engine(config);
+  // No recovery path: a dead rank's query block would lose its partial
+  // lists with it, so a crash schedule is rejected up front (deterministic
+  // and typed, like master-worker's unabsorbable schedules).
+  if (runtime.faults().has_crashes())
+    throw FaultUnrecoverable("query transport has no crash recovery");
 
-  QueryHits all_hits(queries.size());
-
-  sim::RunReport report = runtime.run([&](sim::Comm& comm) {
+  auto body = [&](sim::Comm& comm, QueryHits& all_hits) {
     const int rank = comm.rank();
     const auto& cost = comm.compute_model();
-    if (options.memory_budget_bytes != 0)
-      comm.set_memory_budget(options.memory_budget_bytes);
 
     // Static local database shard (never moves — that is the point).
     comm.trace_mark("QT load+index");
-    const ProteinDatabase local_db = load_database_shard(fasta_image, rank, p);
-    comm.clock().charge_io(static_cast<double>(local_db.total_residues()) *
-                           cost.seconds_per_residue_load);
+    const ProteinDatabase local_db = detail::load_ring_shard(comm, fasta_image);
     std::size_t db_bytes = 0;
     for (const Protein& protein : local_db.proteins)
       db_bytes += protein.residues.size() + protein.id.size();
     comm.charge_alloc(db_bytes);
-    // The static shard is indexed once and reused for all p query batches —
-    // query transport benefits most, since its shard never moves.
-    const CandidateIndex local_index =
-        CandidateIndex::build(local_db, engine.config());
-    comm.clock().charge_compute(static_cast<double>(local_index.size()) *
-                                cost.seconds_per_mz);
-    // In open mode the static shard also gets a fragment index, built once
-    // and reused for all p query batches (it never ships — queries move).
-    const bool use_fragment =
-        config.open_search() &&
-        config.candidate_source != CandidateSourceKind::kMassWindow;
-    FragmentIndex local_fragment;
-    if (use_fragment) {
-      local_fragment =
-          FragmentIndex::build(local_db, local_index, config.bin_width);
-      comm.clock().charge_compute(
-          static_cast<double>(local_fragment.posting_count()) *
-          cost.seconds_per_mz);
-    }
+    // The static shard is indexed once (with its fragment index in indexed
+    // open search) and reused for all p query batches — query transport
+    // benefits most, since its shard never moves.
+    const detail::ShardIndexes local =
+        detail::build_shard_indexes(comm, local_db, config);
 
     // Local query block, exposed for ring transport as packed bytes.
     const QueryRange block = query_block(queries.size(), rank, p);
@@ -129,15 +115,9 @@ ParallelRunResult run_query_transport(const sim::Runtime& runtime,
       comm.clock().charge_compute(static_cast<double>(batch.size()) *
                                   cost.seconds_per_query_prep);
       std::vector<TopK<Hit>> tops = engine.make_tops(batch.size());
-      const ShardSearchStats stats =
-          engine.search_shard(local_db, prepared, tops, nullptr, &local_index,
-                              use_fragment ? &local_fragment : nullptr);
-      comm.clock().charge_compute(kernel_cost_seconds(stats, cost));
-      comm.bump("candidates", stats.candidates_evaluated);
-      comm.bump("prefiltered", stats.candidates_prefiltered);
-      comm.bump("ions", stats.ions_built);
-      if (config.open_search())
-        comm.bump("postings", stats.postings_scanned);
+      const ShardSearchStats stats = engine.search_shard(
+          local_db, prepared, tops, nullptr, &local.index, &local.fragment);
+      detail::charge_shard_search(comm, stats, config);
       partial[static_cast<std::size_t>(j)] = engine.finalize(tops);
       window.fence();
     }
@@ -164,27 +144,11 @@ ParallelRunResult run_query_transport(const sim::Runtime& runtime,
                                 cost.seconds_per_hit_update *
                                 static_cast<double>(config.tau));
 
-    QueryHits final_hits = engine.finalize(merged);
-    if (config.open_search()) {
-      std::uint64_t misses = 0;
-      for (const std::vector<Hit>& hits : final_hits)
-        if (hits.empty()) ++misses;
-      comm.bump("open_index_miss_queries", misses);
-    }
-    std::size_t reported = 0;
-    for (std::size_t q = 0; q < final_hits.size(); ++q) {
-      reported += final_hits[q].size();
-      all_hits[block.begin + q] = std::move(final_hits[q]);
-    }
-    comm.clock().charge_io(static_cast<double>(reported) *
-                           cost.seconds_per_hit_output);
-  });
-
-  ParallelRunResult result;
-  result.candidates = report.sum_counter("candidates");
-  result.report = std::move(report);
-  result.hits = std::move(all_hits);
-  return result;
+    detail::report_block_hits(comm, config, engine.finalize(merged), all_hits,
+                              [&](std::size_t q) { return block.begin + q; });
+  };
+  return detail::run_batch(runtime, queries.size(),
+                           options.memory_budget_bytes, body);
 }
 
 }  // namespace msp

@@ -25,6 +25,9 @@ struct QueryTransportOptions {
   std::size_t memory_budget_bytes = 0;
 };
 
+/// Throws FaultUnrecoverable when the runtime's fault schedule has crashes:
+/// a dead rank would take its query block's partial lists with it, and
+/// there is no recovery path.
 ParallelRunResult run_query_transport(
     const sim::Runtime& runtime, const std::string& fasta_image,
     const std::vector<Spectrum>& queries, const SearchConfig& config,

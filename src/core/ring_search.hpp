@@ -1,14 +1,16 @@
 // Internal: the ring-rotation search body, shared by Algorithm A (world
 // communicator), Algorithm B (world communicator, sender-group ring) and the
-// sub-group hybrid (split communicators). Not part of the public API.
+// sub-group hybrid (split communicators). Its transport, replica and crash
+// schedule are the ShardRing the serving ring also runs on
+// (core/shard_ring.hpp). Not part of the public API.
 #pragma once
 
 #include <span>
-#include <string>
 
 #include "core/algorithm_a.hpp"
 #include "core/hit.hpp"
 #include "core/search_engine.hpp"
+#include "core/shard_ring.hpp"
 #include "core/sortmz.hpp"
 #include "simmpi/comm.hpp"
 
@@ -23,11 +25,6 @@ struct RingQuerySet {
   std::size_t output_offset = 0;      ///< all_hits index of queries[0]
 };
 
-/// Step A1's load: the (comm.rank(), comm.size()) database chunk of
-/// `fasta_image`, with its I/O charged to the rank's clock.
-ProteinDatabase load_ring_shard(sim::Comm& comm,
-                                const std::string& fasta_image);
-
 /// Execute steps A2–A3 on `comm`: search this rank's block of
 /// `query_set.queries` against the rotating shards — `local_db` is this
 /// rank's — and write each query q's hits to
@@ -39,14 +36,14 @@ ProteinDatabase load_ring_shard(sim::Comm& comm,
 /// {i′, …, p−1}; the ring runs the group maximum of steps so the fences stay
 /// collective.
 ///
-/// Fault tolerance (active when comm.faults() schedules crashes): each
-/// shard is replicated on its ring successor before the rotation starts; a
-/// rank whose scheduled crash step fires stops contributing work but keeps
-/// matching collectives (fail-stop "zombie"); after the rotation, the
-/// survivors re-partition each dead rank's query block and re-search it
-/// against every shard that can serve it (all p, or its sender group),
-/// pulling a dead rank's shard from its replica. A crash step outside the
-/// ring's steps never fires.
+/// Fault tolerance (active when comm.faults() schedules crashes): the
+/// ShardRing replicates each shard on its ring successor before the
+/// rotation starts; a rank whose scheduled crash step fires stops
+/// contributing work but keeps matching collectives (fail-stop "zombie");
+/// after the rotation, the survivors re-partition each dead rank's query
+/// block and re-search it against every shard that can serve it (all p, or
+/// its sender group), pulling a dead rank's shard from its replica. The
+/// ring's horizon is its step count, so a crash step outside it never fires.
 /// Throws FaultUnrecoverable when a shard's owner and replica holder both
 /// died, or when the schedule kills every rank of the communicator.
 void ring_search_body(sim::Comm& comm, ProteinDatabase local_db,

@@ -31,26 +31,13 @@ RingService::RingService(sim::Comm& comm, const std::string& fasta_image,
       routing_(mass_routing),
       route_bucket_da_(route_bucket_da),
       p_(comm.size()),
-      rank_(comm.rank()) {
+      rank_(comm.rank()),
+      ring_(comm, detail::ShardRing::kUnbounded) {
   const auto& cost = comm_.compute_model();
-  const sim::FaultModel& faults = comm_.faults();
-  my_crash_step_ = crash_step_of(rank_);
-
   const SearchConfig& config = engine_.config();
   MSP_CHECK_MSG(config.candidate_mode == CandidateMode::kPrefixSuffix,
                 "the banded service ring implements the paper's "
                 "prefix/suffix candidate rule");
-
-  const bool fault_tolerant = faults.has_crashes();
-  if (fault_tolerant) {
-    int survivors = 0;
-    for (int r = 0; r < p_; ++r)
-      if (crash_step_of(r) < 0) ++survivors;
-    if (survivors == 0)
-      throw FaultUnrecoverable(
-          "fault schedule kills every rank of the service ring — nobody "
-          "left to answer the query stream");
-  }
 
   // Band construction: load the i-th chunk (Algorithm A's A1), enumerate
   // its candidate records inside the stream's query-mass envelope, and
@@ -60,9 +47,7 @@ RingService::RingService(sim::Comm& comm, const std::string& fasta_image,
   // batch at admission; only their (globally known) precursor masses bound
   // the enumeration, identically on every rank.
   comm_.trace_mark("serve setup");
-  ProteinDatabase local_db = load_database_shard(fasta_image, rank_, p_);
-  comm_.clock().charge_io(static_cast<double>(local_db.total_residues()) *
-                          cost.seconds_per_residue_load);
+  ProteinDatabase local_db = detail::load_ring_shard(comm_, fasta_image);
 
   double stream_lo = 0.0;
   double stream_hi = -1.0;  // empty stream → empty enumeration window
@@ -94,30 +79,12 @@ RingService::RingService(sim::Comm& comm, const std::string& fasta_image,
                                cost.seconds_per_mz);
 
   band_ = sort_candidate_records_by_mass(comm_, std::move(records));
-  comm_.charge_alloc(band_.size() * sizeof(CandidateRecord));  // D_local
-  window_.emplace(comm_,
-                  std::span<const char>(
-                      reinterpret_cast<const char*>(band_.data()),
-                      band_.size() * sizeof(CandidateRecord)));
-
-  std::size_t max_shard = 0;
-  for (int r = 0; r < p_; ++r)
-    max_shard = std::max(max_shard, window_->shard_size(r));
-  comm_.charge_alloc(2 * max_shard);  // D_recv + D_comp
-  pulls_ = comm_.network().concurrent_pulls(p_);
-
-  // Ring-successor band replica, pulled before any crash can fire (the
-  // PR-1 recovery scheme): a dead rank's band stays reachable at its
-  // successor for the rest of the service's lifetime, byte-for-byte at the
-  // same offsets — partial fetches redirect without translation.
-  if (fault_tolerant) {
-    const int predecessor = (rank_ + p_ - 1) % p_;
-    sim::RmaRequest pull = window_->rget(predecessor, replica_, pulls_);
-    window_->wait(pull);
-    comm_.charge_alloc(replica_.size());
-    replica_window_.emplace(
-        comm_, std::span<const char>(replica_.data(), replica_.size()));
-  }
+  // The band's raw bytes ride the ring; with crashes scheduled, a dead
+  // rank's band stays reachable at its successor's replica for the rest of
+  // the service's lifetime.
+  ring_.expose(std::span<const char>(
+      reinterpret_cast<const char*>(band_.data()),
+      band_.size() * sizeof(CandidateRecord)));
 
   // The map exchange is collective and runs before any crash can fire,
   // like the replica pull: routing state is frozen global input from the
@@ -144,58 +111,13 @@ RingService::RingService(sim::Comm& comm, const std::string& fasta_image,
   comm_.barrier();
 }
 
-int RingService::crash_step_of(int r) const {
-  // Service ring steps are unbounded, so any scheduled step >= 0 fires
-  // (contrast Algorithm A, whose single rotation only reaches step p − 1).
-  return comm_.faults().crash_step(comm_.global_rank_of(r));
-}
-
-bool RingService::dead_at(int r, int at_step) const {
-  const int step = crash_step_of(r);
-  return step >= 0 && step <= at_step;
-}
-
-RingService::ShardFetch RingService::fetch_shard(int owner, int at_step,
-                                                 std::vector<char>& dest) {
-  if (!dead_at(owner, at_step))
-    return ShardFetch{window_->rget(owner, dest, pulls_), &*window_};
-  const int holder = (owner + 1) % p_;
-  if (dead_at(holder, at_step))
-    throw FaultUnrecoverable("shard " + std::to_string(owner) +
-                             ": owner and replica holder " +
-                             std::to_string(holder) + " both crashed");
-  return ShardFetch{replica_window_->rget(holder, dest, pulls_),
-                    &*replica_window_};
-}
-
-RingService::ShardFetch RingService::fetch_shard_range(
-    int owner, int at_step, std::uint64_t first, std::uint64_t last,
-    std::vector<char>& dest) {
-  const std::size_t offset =
-      static_cast<std::size_t>(first) * sizeof(CandidateRecord);
-  const std::size_t length =
-      static_cast<std::size_t>(last - first) * sizeof(CandidateRecord);
-  if (!dead_at(owner, at_step))
-    return ShardFetch{window_->rget_range(owner, offset, length, dest, pulls_),
-                      &*window_};
-  const int holder = (owner + 1) % p_;
-  if (dead_at(holder, at_step))
-    throw FaultUnrecoverable("shard " + std::to_string(owner) +
-                             ": owner and replica holder " +
-                             std::to_string(holder) + " both crashed");
-  return ShardFetch{
-      replica_window_->rget_range(holder, offset, length, dest, pulls_),
-      &*replica_window_};
-}
-
 std::span<const CandidateRecord> RingService::resident_records(
     int shard, int at_step, const Flight& flight) {
   if (shard == rank_) return {band_.data(), band_.size()};
   const MassHistogram* histogram = shard_map_.histogram(shard);
   if (histogram == nullptr) {
     // Route-everything fallback (no histogram for this band): fetch whole.
-    ShardFetch fetch = fetch_shard(shard, at_step, fetch_buffer_);
-    fetch.window->wait(fetch.request);
+    ring_.pull(shard, at_step, fetch_buffer_);
     return decode_records(fetch_buffer_, scratch_records_);
   }
   const auto [first, last] =
@@ -204,25 +126,30 @@ std::span<const CandidateRecord> RingService::resident_records(
     scratch_records_.clear();
     return {scratch_records_.data(), scratch_records_.size()};
   }
-  ShardFetch fetch =
-      fetch_shard_range(shard, at_step, first, last, fetch_buffer_);
-  fetch.window->wait(fetch.request);
+  constexpr std::size_t kRecord = sizeof(CandidateRecord);
+  ring_.pull_range(shard, at_step, first * kRecord, (last - first) * kRecord,
+                   fetch_buffer_);
   return decode_records(fetch_buffer_, scratch_records_);
 }
 
 void RingService::score_flight(Flight& flight, int shard,
                                std::span<const CandidateRecord> resident) {
   std::vector<TopK<Hit>> shard_tops = engine_.make_tops(flight.block.count());
-  const ShardSearchStats stats =
-      engine_.search_records(resident, flight.prepared, shard_tops);
-  comm_.clock().charge_compute(
-      kernel_cost_seconds(stats, comm_.compute_model()));
-  comm_.bump("candidates", stats.candidates_evaluated);
-  comm_.bump("prefiltered", stats.candidates_prefiltered);
-  comm_.bump("offers", stats.hits_offered);
-  comm_.bump("ions", stats.ions_built);
+  detail::charge_shard_search(
+      comm_, engine_.search_records(resident, flight.prepared, shard_tops),
+      engine_.config());
   for (std::size_t q = 0; q < flight.block.count(); ++q)
     flight.tops[q].absorb(static_cast<std::size_t>(shard), shard_tops[q]);
+}
+
+std::vector<std::size_t> RingService::unorphaned_ids(const Flight& flight) {
+  std::vector<std::size_t> ids;
+  ids.reserve(flight.ids.size());
+  for (const std::size_t id : flight.ids)
+    if (std::find(flight.orphaned.begin(), flight.orphaned.end(), id) ==
+        flight.orphaned.end())
+      ids.push_back(id);
+  return ids;
 }
 
 void RingService::admit(const ServiceBatch& batch) {
@@ -236,7 +163,7 @@ void RingService::admit(const ServiceBatch& batch) {
   // rank dying later mid-flight is included and its block is orphaned when
   // the crash fires.
   for (int r = 0; r < p_; ++r)
-    if (!dead_at(r, step_)) flight.ranks.push_back(r);
+    if (!ring_.dead_at(r, step_)) flight.ranks.push_back(r);
   MSP_CHECK_MSG(!flight.ranks.empty(), "service batch with no live ranks");
 
   // Mass routing: every rank computes the full (member, shard) routing
@@ -245,47 +172,45 @@ void RingService::admit(const ServiceBatch& batch) {
   // agree everywhere and this rank's own row needs no communication. The
   // map answers conservatively: a 0 is a proof the member's block matches
   // nothing in that shard at the engine's tolerance.
+  //
+  // Unrouted, every member with a block visits all p shards, which keeps
+  // the audit columns meaningful (skip ratio 0) in unrouted runs.
   flight.my_routed.assign(static_cast<std::size_t>(p_), 1);
-  if (routing_ && shard_map_.routes()) {
-    const double below = engine_.config().window_below();
-    const double above = engine_.config().window_above();
-    std::vector<double> member_masses;
-    for (std::size_t m = 0; m < flight.ranks.size(); ++m) {
-      const QueryRange member_block =
-          query_block(flight.ids.size(), static_cast<int>(m),
-                      static_cast<int>(flight.ranks.size()));
-      if (member_block.count() == 0) continue;
-      member_masses.clear();
-      for (std::size_t i = member_block.begin; i < member_block.end; ++i) {
-        MSP_CHECK_MSG(flight.ids[i] < queries_.size(),
-                      "service batch query id out of range");
-        for (const double mass :
-             engine_.hypothesis_masses(queries_[flight.ids[i]]))
-          member_masses.push_back(mass);
-      }
-      for (int shard = 0; shard < p_; ++shard) {
-        const bool need =
-            shard_map_.needed(shard, member_masses, below, above);
-        if (flight.ranks[m] == rank_)
-          flight.my_routed[static_cast<std::size_t>(shard)] = need ? 1 : 0;
-        if (need)
-          ++flight.steps_visited;
-        else
-          ++flight.steps_skipped;
-      }
+  const bool route = routing_ && shard_map_.routes();
+  const double below = engine_.config().window_below();
+  const double above = engine_.config().window_above();
+  std::vector<double> member_masses;
+  for (std::size_t m = 0; m < flight.ranks.size(); ++m) {
+    const QueryRange member_block =
+        query_block(flight.ids.size(), static_cast<int>(m),
+                    static_cast<int>(flight.ranks.size()));
+    if (member_block.count() == 0) continue;
+    if (!route) {
+      flight.steps_visited += static_cast<std::uint64_t>(p_);
+      continue;
     }
+    member_masses.clear();
+    for (std::size_t i = member_block.begin; i < member_block.end; ++i) {
+      MSP_CHECK_MSG(flight.ids[i] < queries_.size(),
+                    "service batch query id out of range");
+      for (const double mass :
+           engine_.hypothesis_masses(queries_[flight.ids[i]]))
+        member_masses.push_back(mass);
+    }
+    for (int shard = 0; shard < p_; ++shard) {
+      const bool need = shard_map_.needed(shard, member_masses, below, above);
+      if (flight.ranks[m] == rank_)
+        flight.my_routed[static_cast<std::size_t>(shard)] = need ? 1 : 0;
+      if (need)
+        ++flight.steps_visited;
+      else
+        ++flight.steps_skipped;
+    }
+  }
+  if (route)
     comm_.clock().charge_compute(static_cast<double>(flight.ranks.size()) *
                                  static_cast<double>(p_) *
                                  cost.seconds_per_route_check);
-  } else {
-    // Unrouted: every member with a block visits all p shards. Keeps the
-    // audit columns meaningful (skip ratio 0) in unrouted runs.
-    for (std::size_t m = 0; m < flight.ranks.size(); ++m)
-      if (query_block(flight.ids.size(), static_cast<int>(m),
-                      static_cast<int>(flight.ranks.size()))
-              .count() > 0)
-        flight.steps_visited += static_cast<std::uint64_t>(p_);
-  }
 
   const auto member =
       std::find(flight.ranks.begin(), flight.ranks.end(), rank_);
@@ -336,9 +261,7 @@ ServiceStepOutcome RingService::step(bool prefetch_next) {
   const auto& cost = comm_.compute_model();
   const int s = step_;
   comm_.trace_mark("serve step " + std::to_string(s));
-  const bool dead = my_crash_step_ >= 0 && s >= my_crash_step_;
-  if (s == my_crash_step_)
-    comm_.mark_crashed("serve step " + std::to_string(s));
+  const bool dead = ring_.zombie_at(s, "serve step");
 
   if (!dead) {
     const int shard = (rank_ + s) % p_;
@@ -379,15 +302,10 @@ ServiceStepOutcome RingService::step(bool prefetch_next) {
       // busy the previous step's prefetch already delivered it; after an
       // idle gap or a declined prefetch hint, fetch it blocking — fully
       // exposed, exactly the cost the masked path avoids.
-      if (shard != rank_ && comp_shard_ != shard) {
-        ShardFetch fetch = fetch_shard(shard, s, comp_buffer_);
-        fetch.window->wait(fetch.request);
-        comp_shard_ = shard;
-      }
       const std::span<const CandidateRecord> resident =
           shard == rank_
               ? std::span<const CandidateRecord>(band_.data(), band_.size())
-              : decode_records(comp_buffer_, scratch_records_);
+              : decode_records(ring_.resident(shard, s), scratch_records_);
 
       // Masked prefetch of the next step's band under this step's scoring
       // (Algorithm A's A2 pattern, amortized over every in-flight batch).
@@ -400,24 +318,16 @@ ServiceStepOutcome RingService::step(bool prefetch_next) {
       bool continues = prefetch_next;
       for (const Flight& flight : flights_)
         if (s < flight.first_step + p_ - 1) continues = true;
-      ShardFetch prefetch;
-      if (continues && next_shard != rank_)
-        prefetch = fetch_shard(next_shard, s, recv_buffer_);
-
+      if (continues && next_shard != rank_) ring_.prefetch(next_shard, s);
       for (Flight& flight : flights_)
         if (flight.block.count() > 0) score_flight(flight, shard, resident);
-
-      if (prefetch.request.active) {
-        prefetch.window->wait(prefetch.request);
-        std::swap(comp_buffer_, recv_buffer_);
-        comp_shard_ = next_shard;
-      }
+      ring_.complete_prefetch();
     }
   }
   // Every rank — zombies included — attends the fence: this is both the
   // window epoch and the boundary that re-aligns all clocks, the invariant
   // the replicated controllers live on.
-  window_->fence();
+  ring_.fence();
 
   ServiceStepOutcome out;
   out.step = s;
@@ -426,7 +336,7 @@ ServiceStepOutcome RingService::step(bool prefetch_next) {
   // charge the survivors the (omniscient, deterministic) detection timeout.
   std::vector<int> died;
   for (int r = 0; r < p_; ++r)
-    if (crash_step_of(r) == s) died.push_back(r);
+    if (ring_.crash_step(r) == s) died.push_back(r);
   if (!died.empty()) {
     for (Flight& flight : flights_) {
       for (const int d : died) {
@@ -464,27 +374,20 @@ ServiceStepOutcome RingService::step(bool prefetch_next) {
       ++it;
       continue;
     }
-    std::vector<std::size_t> published;
-    published.reserve(flight.ids.size());
-    for (const std::size_t id : flight.ids)
-      if (std::find(flight.orphaned.begin(), flight.orphaned.end(), id) ==
-          flight.orphaned.end())
-        published.push_back(id);
+    std::vector<std::size_t> published = unorphaned_ids(flight);
     if (!dead) {
       comm_.trace_serve(sim::SpanKind::kServePublish,
                         "batch " + std::to_string(flight.batch_id) +
                             " published (" + std::to_string(published.size()) +
                             " queries)");
       if (flight.block.count() > 0) {
-        std::size_t reported = 0;
-        for (std::size_t q = 0; q < flight.block.count(); ++q) {
-          std::vector<Hit> hits = flight.tops[q].finalize();
-          reported += hits.size();
-          all_hits_[flight.ids[flight.block.begin + q]] = std::move(hits);
-        }
-        comm_.clock().charge_io(static_cast<double>(reported) *
-                                cost.seconds_per_hit_output);
-        comm_.bump("hits_reported", reported);
+        QueryHits hits;
+        hits.reserve(flight.block.count());
+        for (IncrementalTopK<Hit>& top : flight.tops)
+          hits.push_back(top.finalize());
+        detail::report_block_hits(
+            comm_, engine_.config(), std::move(hits), all_hits_,
+            [&](std::size_t q) { return flight.ids[flight.block.begin + q]; });
         comm_.release_alloc(flight.alloc_bytes);
       }
     }
@@ -511,22 +414,18 @@ std::vector<std::size_t> RingService::preempt(std::size_t batch_id) {
   // Everything not already orphaned by a crash goes back to the caller;
   // crash orphans were returned from step() and re-queued there — returning
   // them again would score them twice.
-  std::vector<std::size_t> requeue;
-  requeue.reserve(flight.ids.size());
-  for (const std::size_t id : flight.ids)
-    if (std::find(flight.orphaned.begin(), flight.orphaned.end(), id) ==
-        flight.orphaned.end())
-      requeue.push_back(id);
-  const bool dead = my_crash_step_ >= 0 && step_ > my_crash_step_;
-  if (!dead && flight.block.count() > 0) comm_.release_alloc(flight.alloc_bytes);
+  std::vector<std::size_t> requeue = unorphaned_ids(flight);
+  const bool dead = ring_.dead_at(rank_, step_ - 1);
+  if (!dead && flight.block.count() > 0)
+    comm_.release_alloc(flight.alloc_bytes);
   flights_.erase(it);
   return requeue;
 }
 
 void RingService::finish() {
   MSP_CHECK_MSG(flights_.empty(), "service finished with batches in flight");
-  window_->fence();
-  if (replica_window_) replica_window_->fence();
+  ring_.fence();
+  ring_.close();
 }
 
 }  // namespace msp

@@ -37,19 +37,19 @@
 // replicating its controller per rank; this class's step() returns the
 // fence-aligned boundary time the controllers must use as "now".
 //
-// Fault compatibility (reusing the PR-1 recovery machinery): crash steps in
-// the run's FaultModel index *service ring steps*. A crashing rank becomes
-// a fail-stop zombie that keeps matching fences; its blocks of every
-// in-flight batch are lost and the orphaned query ids are returned from
-// step() so the serving layer re-admits them (they re-enter admission, get
-// re-batched, and are re-scored from scratch — same hits, later). Bands
-// stay reachable through the ring-successor replica window, exactly as in
-// Algorithm A — the replica holds the same bytes at the same offsets, so
-// partial fetches redirect unchanged.
+// Fault compatibility: the service runs on the same transport as Algorithm
+// A's ring (detail::ShardRing, core/shard_ring.hpp), with an unbounded step
+// horizon — crash steps in the run's FaultModel index *service ring steps*,
+// and any of them can fire. A crashing rank becomes a fail-stop zombie that
+// keeps matching fences; its blocks of every in-flight batch are lost and
+// the orphaned query ids are returned from step() so the serving layer
+// re-admits them (they re-enter admission, get re-batched, and are
+// re-scored from scratch — same hits, later). Bands stay reachable through
+// the ShardRing's ring-successor replica — it holds the same bytes at the
+// same offsets, so partial fetches redirect unchanged.
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -60,6 +60,7 @@
 #include "core/partition.hpp"
 #include "core/search_engine.hpp"
 #include "core/shard_map.hpp"
+#include "core/shard_ring.hpp"
 #include "scoring/incremental_topk.hpp"
 #include "simmpi/comm.hpp"
 
@@ -195,26 +196,13 @@ class RingService {
     std::size_t alloc_bytes = 0;
   };
 
-  struct ShardFetch {
-    sim::RmaRequest request;
-    sim::Window* window = nullptr;
-  };
-
-  int crash_step_of(int r) const;
-  bool dead_at(int r, int at_step) const;
-  /// Whole-band fetch (unrouted path / replica pull), redirected to the
-  /// ring-successor replica when the owner is dead.
-  ShardFetch fetch_shard(int owner, int at_step, std::vector<char>& dest);
-  /// Partial fetch of records [first, last) of `owner`'s band (routed
-  /// path), same replica redirect — the replica holds identical bytes at
-  /// identical offsets.
-  ShardFetch fetch_shard_range(int owner, int at_step, std::uint64_t first,
-                               std::uint64_t last, std::vector<char>& dest);
   /// Blocking-fetch `shard`'s records matching `flight`'s query window into
   /// scratch_records_ and return the span to score (the whole resident band
   /// for the local shard / unrouted path).
   std::span<const CandidateRecord> resident_records(int shard, int at_step,
                                                     const Flight& flight);
+  /// `flight`'s ids not orphaned by a crash, in batch order.
+  static std::vector<std::size_t> unorphaned_ids(const Flight& flight);
   /// Score `flight`'s block against `resident` (records of `shard`),
   /// charge the kernel's cost and absorb the hits into the flight's tops.
   void score_flight(Flight& flight, int shard,
@@ -230,18 +218,11 @@ class RingService {
 
   int p_ = 0;
   int rank_ = 0;
-  int my_crash_step_ = -1;
 
   std::vector<CandidateRecord> band_;  ///< this rank's mass band (sorted)
-  std::optional<sim::Window> window_;  ///< exposes band_'s raw bytes
-  std::vector<char> replica_;
-  std::optional<sim::Window> replica_window_;
-  std::vector<char> comp_buffer_;   ///< unrouted: resident remote band
-  std::vector<char> recv_buffer_;   ///< unrouted: masked prefetch target
+  detail::ShardRing ring_;             ///< exposes band_'s raw bytes
   std::vector<char> fetch_buffer_;  ///< routed: partial-fetch target
   std::vector<CandidateRecord> scratch_records_;  ///< fetched-bytes decode
-  int comp_shard_ = -1;  ///< shard id resident in comp_buffer_ (-1: none)
-  int pulls_ = 1;
 
   int step_ = 0;
   std::vector<Flight> flights_;

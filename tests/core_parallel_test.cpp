@@ -7,6 +7,7 @@
 
 #include <map>
 #include <set>
+#include <utility>
 
 #include "core/algorithm_a.hpp"
 #include "core/algorithm_b.hpp"
@@ -544,6 +545,38 @@ TEST_P(QueryTransportValidation, ReproducesSerialOutput) {
 
 INSTANTIATE_TEST_SUITE_P(RankSweep, QueryTransportValidation,
                          ::testing::Values(1, 2, 4, 8));
+
+// ---------- counters: one accounting for every batch driver ----------
+
+TEST(Counters, EveryBatchDriverReportsSerialHitsAndAlgorithmACandidates) {
+  const Fixture& f = fixture();
+  std::uint64_t serial_hits = 0;
+  for (const std::vector<Hit>& hits : f.serial) serial_hits += hits.size();
+  const sim::Runtime runtime(4);
+  const ParallelRunResult a =
+      run_algorithm_a(runtime, f.image, f.queries, f.config);
+  HybridOptions two_groups;
+  two_groups.groups = 2;
+  const std::pair<const char*, ParallelRunResult> runs[] = {
+      {"A", a},
+      {"B", run_algorithm_b(runtime, f.image, f.queries, f.config)},
+      {"hybrid", run_algorithm_hybrid(runtime, f.image, f.queries, f.config,
+                                      two_groups)},
+      {"master-worker",
+       run_master_worker(runtime, f.image, f.queries, f.config)},
+      {"query transport",
+       run_query_transport(runtime, f.image, f.queries, f.config)},
+      {"store", run_candidate_store(runtime, f.image, f.queries, f.config)},
+  };
+  for (const auto& [name, run] : runs) {
+    expect_hits_equal(run.hits, f.serial, name);
+    EXPECT_EQ(run.report.sum_counter("hits_reported"), serial_hits) << name;
+    EXPECT_EQ(run.candidates, a.candidates) << name;
+    EXPECT_EQ(run.report.sum_counter("candidates"), a.candidates) << name;
+    EXPECT_GT(run.report.sum_counter("offers"), 0u) << name;
+    EXPECT_GT(run.report.sum_counter("ions"), 0u) << name;
+  }
+}
 
 // ---------- pipeline facade ----------
 

@@ -6,15 +6,19 @@
 // must be bit-exactly zero-cost when no schedule is given.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/algorithm_a.hpp"
 #include "core/algorithm_b.hpp"
 #include "core/algorithm_hybrid.hpp"
+#include "core/candidate_store.hpp"
 #include "core/master_worker.hpp"
 #include "core/partition.hpp"
+#include "core/query_transport.hpp"
 #include "core/search_engine.hpp"
 #include "dbgen/protein_gen.hpp"
 #include "dbgen/query_gen.hpp"
@@ -475,6 +479,36 @@ TEST(FaultLayer, AllWorkersDeadIsUnrecoverable) {
   const sim::Runtime runtime(4, {}, {}, faults);
   EXPECT_THROW(run_master_worker(runtime, f.image, f.queries, f.config),
                FaultUnrecoverable);
+}
+
+// Query transport and the candidate store have no recovery path: a crash
+// schedule is rejected up front with the typed error (never silently
+// ignored), while stragglers and transient failures still reproduce the
+// serial hits.
+TEST(FaultLayer, DriversWithoutRecoveryRejectCrashSchedules) {
+  const Fixture& f = fixture();
+  using Driver = std::function<ParallelRunResult(const sim::Runtime&)>;
+  const std::pair<const char*, Driver> drivers[] = {
+      {"query transport",
+       [&](const sim::Runtime& runtime) {
+         return run_query_transport(runtime, f.image, f.queries, f.config);
+       }},
+      {"store",
+       [&](const sim::Runtime& runtime) -> ParallelRunResult {
+         return run_candidate_store(runtime, f.image, f.queries, f.config);
+       }},
+  };
+  sim::FaultModel crash;
+  crash.crash(1, 2);
+  sim::FaultModel slow;
+  slow.straggle(1, 4.0, 2.0).fail_transfers(2, {0, 1});
+  for (const auto& [name, run] : drivers) {
+    EXPECT_THROW(run(sim::Runtime(4, {}, {}, crash)), FaultUnrecoverable)
+        << name;
+    const ParallelRunResult result = run(sim::Runtime(4, {}, {}, slow));
+    expect_hits_equal(result.hits, f.serial, name);
+    EXPECT_GT(result.report.total_transfer_retries(), 0u) << name;
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/partition.hpp"
@@ -263,6 +264,30 @@ TEST(Service, CrashOrphansAreReadmittedAndComplete) {
       runtime, f.image, f.queries, f.config, default_options());
   expect_hits_equal(again.hits, result.hits, "crash rerun");
   EXPECT_EQ(again.makespan_s, result.makespan_s);
+}
+
+// The schedules the ring cannot absorb fail with the typed error, routed or
+// not: every rank dead (p=2), and a band whose owner and replica holder
+// (its ring successor) both die (p=4).
+TEST(Service, UnrecoverableSchedulesThrow) {
+  const Fixture& f = fixture();
+  sim::FaultModel all_dead;
+  all_dead.crash(0, 0).crash(1, 1);
+  sim::FaultModel band_lost;
+  band_lost.crash(1, 0).crash(2, 1);
+  const std::pair<int, const sim::FaultModel*> cells[] = {{2, &all_dead},
+                                                          {4, &band_lost}};
+  for (const auto& [p, faults] : cells) {
+    for (const bool routing : {true, false}) {
+      const sim::Runtime runtime(p, {}, {}, *faults);
+      serve::ServiceOptions options = default_options();
+      options.mass_routing = routing;
+      EXPECT_THROW(
+          serve::run_service(runtime, f.image, f.queries, f.config, options),
+          FaultUnrecoverable)
+          << "p=" << p << " routing=" << routing;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
