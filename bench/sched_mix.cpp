@@ -77,10 +77,11 @@ const msp::sched::TenantAccounting* tenant_named(
 int main(int argc, char** argv) {
   msp::Cli cli("bench_sched_mix",
                "multi-tenant scheduler: serve-only vs backfill vs preemption");
-  // 360 queries by default: 48 serve + 312 batch. The batch backlog must be
-  // deep enough that backfill, not work starvation, bounds the reclaimed-idle
-  // ratio the CI gate checks.
-  msp::bench::add_common_options(cli, /*default_queries=*/360);
+  // 1,000 queries by default: 48 serve + 952 batch. The batch backlog must
+  // be deep enough that backfill, not work starvation, bounds the
+  // reclaimed-idle ratio the CI gate checks — the bench exits 1 when the
+  // backfill cell finishes no later than the serve-only one.
+  msp::bench::add_common_options(cli, /*default_queries=*/1000);
   cli.add_int("p", 16, "simulated ranks (one shared serving ring)");
   cli.add_int("sequences", 4000, "database size (proteins)");
   cli.add_int("serve-queries", 48, "queries owned by the serve tenant");
@@ -286,6 +287,21 @@ int main(int argc, char** argv) {
             << msp::Table::cell(p99_full) << " s vs "
             << msp::Table::cell(p99_serve_only) << " s serve-only (ratio "
             << msp::Table::cell(p99_ratio, 2) << ")\n";
+
+  // The reclaimed-idle ratio only measures backfill while the batch backlog
+  // outlasts the serve session: once the batch tenant runs dry inside it,
+  // the ratio measures starvation instead. A starved run exits 1 without
+  // appending its entry.
+  const msp::sched::SchedResult& backfill = results[1];
+  if (backfill.makespan_s <= serve_only.makespan_s) {
+    std::cerr << "bench_sched_mix: the batch backlog ran dry inside the serve "
+                 "session (backfill makespan "
+              << backfill.makespan_s << " s <= serve-only "
+              << serve_only.makespan_s
+              << " s), so reclaimed idle measures starvation, not backfill "
+                 "— raise --queries\n";
+    return 1;
+  }
 
   // Indent the entry one level so the trajectory array reads naturally.
   std::istringstream lines(json.str());

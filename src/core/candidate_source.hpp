@@ -109,8 +109,8 @@ class FragmentIndexCandidateSource final : public CandidateSource {
  private:
   const FragmentIndex& fragment_;
   std::size_t vote_gate_;
-  std::vector<std::uint32_t> votes_;     ///< per-ordinal scratch, reset per call
-  std::vector<std::uint32_t> touched_;   ///< ordinals with nonzero votes
+  std::vector<std::uint32_t> votes_;    ///< per-ordinal scratch, reset per call
+  std::vector<std::uint32_t> touched_;  ///< ordinals with nonzero votes
 };
 
 /// The occupied-bin list collect() wants: every global bin of `binned` with

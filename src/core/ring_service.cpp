@@ -120,16 +120,34 @@ std::span<const CandidateRecord> RingService::resident_records(
     ring_.pull(shard, at_step, fetch_buffer_);
     return decode_records(fetch_buffer_, scratch_records_);
   }
-  const auto [first, last] =
-      histogram->record_range(flight.fetch_lo, flight.fetch_hi);
-  if (first >= last) {
-    scratch_records_.clear();
-    return {scratch_records_.data(), scratch_records_.size()};
-  }
+  // One fetch per disjoint record range the block's merged windows clip
+  // the band to. The windows ascend, so the ranges do too and the
+  // concatenation stays mass-sorted; overlapping ranges are merged so no
+  // record is scored twice.
+  scratch_records_.clear();
   constexpr std::size_t kRecord = sizeof(CandidateRecord);
-  ring_.pull_range(shard, at_step, first * kRecord, (last - first) * kRecord,
-                   fetch_buffer_);
-  return decode_records(fetch_buffer_, scratch_records_);
+  std::pair<std::uint64_t, std::uint64_t> range{0, 0};
+  const auto fetch = [&] {
+    if (range.first >= range.second) return;
+    ring_.pull_range(shard, at_step, range.first * kRecord,
+                     (range.second - range.first) * kRecord, fetch_buffer_);
+    const std::span<const CandidateRecord> records =
+        decode_records(fetch_buffer_, range_records_);
+    scratch_records_.insert(scratch_records_.end(), records.begin(),
+                            records.end());
+  };
+  for (const auto& [lo, hi] : flight.windows) {
+    const auto [first, last] = histogram->record_range(lo, hi);
+    if (first >= last) continue;
+    if (range.first < range.second && first <= range.second) {
+      range.second = std::max(range.second, last);
+      continue;
+    }
+    fetch();
+    range = {first, last};
+  }
+  fetch();
+  return {scratch_records_.data(), scratch_records_.size()};
 }
 
 void RingService::score_flight(Flight& flight, int shard,
@@ -152,102 +170,173 @@ std::vector<std::size_t> RingService::unorphaned_ids(const Flight& flight) {
   return ids;
 }
 
-void RingService::admit(const ServiceBatch& batch) {
-  const auto& cost = comm_.compute_model();
-  Flight flight;
-  flight.batch_id = batch.id;
-  flight.ids = batch.query_ids;
-  flight.first_step = step_;
+RingService::Placement RingService::place(
+    std::span<const std::size_t> query_ids) const {
+  Placement placement;
   // Members: ranks alive through this boundary. A rank whose crash fires at
   // the upcoming step would score nothing, so it is excluded up front; a
   // rank dying later mid-flight is included and its block is orphaned when
   // the crash fires.
   for (int r = 0; r < p_; ++r)
-    if (!ring_.dead_at(r, step_)) flight.ranks.push_back(r);
-  MSP_CHECK_MSG(!flight.ranks.empty(), "service batch with no live ranks");
+    if (!ring_.dead_at(r, step_)) placement.ranks.push_back(r);
+  MSP_CHECK_MSG(!placement.ranks.empty(), "service batch with no live ranks");
+  for (const std::size_t id : query_ids)
+    MSP_CHECK_MSG(id < queries_.size(), "service batch query id out of range");
+  const std::size_t members = placement.ranks.size();
+  const auto p = static_cast<std::size_t>(p_);
+  placement.route = routing_ && shard_map_.routes();
 
-  // Mass routing: every rank computes the full (member, shard) routing
-  // matrix from globally known inputs — the admitted ids, the member list,
-  // and the exchanged shard mass map — so the batch-wide audit counters
-  // agree everywhere and this rank's own row needs no communication. The
-  // map answers conservatively: a 0 is a proof the member's block matches
-  // nothing in that shard at the engine's tolerance.
-  //
-  // Unrouted, every member with a block visits all p shards, which keeps
-  // the audit columns meaningful (skip ratio 0) in unrouted runs.
-  flight.my_routed.assign(static_cast<std::size_t>(p_), 1);
-  const bool route = routing_ && shard_map_.routes();
+  if (!placement.route) {
+    // Unrouted: the batch order, block-partitioned; every member visits all
+    // p shards, so the flight rides p steps.
+    placement.ids.assign(query_ids.begin(), query_ids.end());
+    for (std::size_t m = 0; m < members; ++m)
+      placement.blocks.push_back(query_block(placement.ids.size(),
+                                             static_cast<int>(m),
+                                             static_cast<int>(members)));
+    placement.needs.assign(members * p, 1);
+    placement.span = p_ - 1;
+    return placement;
+  }
+
+  // Mass routing: the exchanged shard mass map says which bands each query
+  // may match (a 0 is a proof it matches nothing there at the engine's
+  // window). Member r holds band (r + step_ + d) mod p at step step_ + d,
+  // so a query is done on r after the largest such d over its needed
+  // bands; it goes to the live member where that is smallest, ties to the
+  // fewest queries placed so far, then the lowest rank.
   const double below = engine_.config().window_below();
   const double above = engine_.config().window_above();
-  std::vector<double> member_masses;
+  std::vector<std::uint8_t> need(p);
+  std::vector<std::size_t> owner(query_ids.size());
+  std::vector<std::size_t> load(members, 0);
+  placement.needs.assign(members * p, 0);
+  for (std::size_t i = 0; i < query_ids.size(); ++i) {
+    const std::vector<double> masses =
+        engine_.hypothesis_masses(queries_[query_ids[i]]);
+    for (std::size_t shard = 0; shard < p; ++shard)
+      need[shard] =
+          shard_map_.needed(static_cast<int>(shard), masses, below, above)
+              ? 1
+              : 0;
+    std::size_t best = members;
+    int best_reach = p_;
+    for (std::size_t m = 0; m < members; ++m) {
+      const int at = (placement.ranks[m] + step_) % p_;
+      int reach = 0;
+      for (std::size_t shard = 0; shard < p; ++shard)
+        if (need[shard])
+          reach = std::max(reach, (static_cast<int>(shard) - at + p_) % p_);
+      if (best == members || reach < best_reach ||
+          (reach == best_reach && load[m] < load[best])) {
+        best = m;
+        best_reach = reach;
+      }
+    }
+    owner[i] = best;
+    ++load[best];
+    placement.span = std::max(placement.span, best_reach);
+    for (std::size_t shard = 0; shard < p; ++shard)
+      placement.needs[best * p + shard] |= need[shard];
+  }
+
+  // Each member's queries contiguous, in batch order within a member.
+  placement.ids.reserve(query_ids.size());
+  for (std::size_t m = 0; m < members; ++m) {
+    QueryRange block;
+    block.begin = placement.ids.size();
+    for (std::size_t i = 0; i < query_ids.size(); ++i)
+      if (owner[i] == m) placement.ids.push_back(query_ids[i]);
+    block.end = placement.ids.size();
+    placement.blocks.push_back(block);
+  }
+  return placement;
+}
+
+int RingService::flight_steps(std::span<const std::size_t> query_ids) const {
+  return place(query_ids).span + 1;
+}
+
+void RingService::admit(const ServiceBatch& batch) {
+  const auto& cost = comm_.compute_model();
+  const auto p = static_cast<std::size_t>(p_);
+  Placement placement = place(batch.query_ids);
+  Flight flight;
+  flight.batch_id = batch.id;
+  flight.first_step = step_;
+  flight.last_step = step_ + placement.span;
+  flight.ids = std::move(placement.ids);
+  flight.ranks = std::move(placement.ranks);
+  flight.blocks = std::move(placement.blocks);
+
+  // The batch-wide audit, over members with nonempty blocks: every rank
+  // holds the full (member, shard) matrix, so the counters agree
+  // everywhere. Unrouted, each such member visits all p shards (skip ratio
+  // 0).
   for (std::size_t m = 0; m < flight.ranks.size(); ++m) {
-    const QueryRange member_block =
-        query_block(flight.ids.size(), static_cast<int>(m),
-                    static_cast<int>(flight.ranks.size()));
-    if (member_block.count() == 0) continue;
-    if (!route) {
-      flight.steps_visited += static_cast<std::uint64_t>(p_);
-      continue;
-    }
-    member_masses.clear();
-    for (std::size_t i = member_block.begin; i < member_block.end; ++i) {
-      MSP_CHECK_MSG(flight.ids[i] < queries_.size(),
-                    "service batch query id out of range");
-      for (const double mass :
-           engine_.hypothesis_masses(queries_[flight.ids[i]]))
-        member_masses.push_back(mass);
-    }
-    for (int shard = 0; shard < p_; ++shard) {
-      const bool need = shard_map_.needed(shard, member_masses, below, above);
-      if (flight.ranks[m] == rank_)
-        flight.my_routed[static_cast<std::size_t>(shard)] = need ? 1 : 0;
-      if (need)
+    if (flight.blocks[m].count() == 0) continue;
+    for (std::size_t shard = 0; shard < p; ++shard) {
+      if (placement.needs[m * p + shard])
         ++flight.steps_visited;
       else
         ++flight.steps_skipped;
     }
   }
-  if (route)
-    comm_.clock().charge_compute(static_cast<double>(flight.ranks.size()) *
+  // One routing check per (query, shard).
+  if (placement.route)
+    comm_.clock().charge_compute(static_cast<double>(flight.ids.size()) *
                                  static_cast<double>(p_) *
                                  cost.seconds_per_route_check);
 
+  flight.my_routed.assign(p, 1);
   const auto member =
       std::find(flight.ranks.begin(), flight.ranks.end(), rank_);
   if (member != flight.ranks.end()) {
-    const int index = static_cast<int>(member - flight.ranks.begin());
-    flight.block = query_block(flight.ids.size(), index,
-                               static_cast<int>(flight.ranks.size()));
+    const auto index = static_cast<std::size_t>(member - flight.ranks.begin());
+    flight.block = flight.blocks[index];
     if (flight.block.count() > 0) {
+      flight.my_routed.assign(placement.needs.begin() + index * p,
+                              placement.needs.begin() + (index + 1) * p);
       std::vector<Spectrum> gathered;
       gathered.reserve(flight.block.count());
-      for (std::size_t i = flight.block.begin; i < flight.block.end; ++i) {
-        MSP_CHECK_MSG(flight.ids[i] < queries_.size(),
-                      "service batch query id out of range");
+      for (std::size_t i = flight.block.begin; i < flight.block.end; ++i)
         gathered.push_back(queries_[flight.ids[i]]);
-      }
       flight.alloc_bytes = query_footprint_bytes(gathered);
       comm_.charge_alloc(flight.alloc_bytes);
       flight.prepared = engine_.prepare(gathered);
       comm_.clock().charge_compute(static_cast<double>(gathered.size()) *
                                    cost.seconds_per_query_prep);
-      // The block's query-mass window: visited-band partial fetches are
-      // clipped to it (the scoring merge-join re-applies the exact
-      // per-query predicates, so over-fetch is only a time cost).
-      flight.fetch_lo =
-          flight.prepared.min_mass() - engine_.config().window_below();
-      flight.fetch_hi =
-          flight.prepared.max_mass() + engine_.config().window_above();
+      // The block's merged query windows: visited-band partial fetches are
+      // clipped to them (the scoring merge-join re-applies the exact
+      // per-query predicates, so over-fetch is only a time cost). A window
+      // the map routes away from a band clips it to an empty range, so a
+      // query needing no band never widens a fetch.
+      if (placement.route) {
+        const double below = engine_.config().window_below();
+        const double above = engine_.config().window_above();
+        for (std::size_t i = flight.block.begin; i < flight.block.end; ++i)
+          for (const double mass :
+               engine_.hypothesis_masses(queries_[flight.ids[i]]))
+            flight.windows.emplace_back(mass - below, mass + above);
+        std::sort(flight.windows.begin(), flight.windows.end());
+        std::size_t merged = 0;
+        for (const auto& window : flight.windows) {
+          if (merged > 0 && window.first <= flight.windows[merged - 1].second)
+            flight.windows[merged - 1].second =
+                std::max(flight.windows[merged - 1].second, window.second);
+          else
+            flight.windows[merged++] = window;
+        }
+        flight.windows.resize(merged);
+      }
       flight.tops.reserve(flight.block.count());
       for (std::size_t q = 0; q < flight.block.count(); ++q)
-        flight.tops.emplace_back(engine_.config().tau,
-                                 static_cast<std::size_t>(p_));
+        flight.tops.emplace_back(engine_.config().tau, p);
       // Shards the router proved empty are recorded as skipped up front:
       // completion accounting stays exact while step() never touches them.
-      for (int shard = 0; shard < p_; ++shard)
-        if (!flight.my_routed[static_cast<std::size_t>(shard)])
-          for (IncrementalTopK<Hit>& top : flight.tops)
-            top.skip(static_cast<std::size_t>(shard));
+      for (std::size_t shard = 0; shard < p; ++shard)
+        if (!flight.my_routed[shard])
+          for (IncrementalTopK<Hit>& top : flight.tops) top.skip(shard);
     }
     comm_.trace_serve(sim::SpanKind::kServeDispatch,
                       "batch " + std::to_string(batch.id) + ": " +
@@ -317,7 +406,7 @@ ServiceStepOutcome RingService::step(bool prefetch_next) {
       const int next_shard = (rank_ + s + 1) % p_;
       bool continues = prefetch_next;
       for (const Flight& flight : flights_)
-        if (s < flight.first_step + p_ - 1) continues = true;
+        if (s < flight.last_step) continues = true;
       if (continues && next_shard != rank_) ring_.prefetch(next_shard, s);
       for (Flight& flight : flights_)
         if (flight.block.count() > 0) score_flight(flight, shard, resident);
@@ -343,9 +432,9 @@ ServiceStepOutcome RingService::step(bool prefetch_next) {
         const auto member =
             std::find(flight.ranks.begin(), flight.ranks.end(), d);
         if (member == flight.ranks.end()) continue;
-        const int index = static_cast<int>(member - flight.ranks.begin());
-        const QueryRange block = query_block(
-            flight.ids.size(), index, static_cast<int>(flight.ranks.size()));
+        const QueryRange block =
+            flight.blocks[static_cast<std::size_t>(member -
+                                                   flight.ranks.begin())];
         for (std::size_t i = block.begin; i < block.end; ++i) {
           flight.orphaned.push_back(flight.ids[i]);
           out.orphaned.push_back(flight.ids[i]);
@@ -365,12 +454,12 @@ ServiceStepOutcome RingService::step(bool prefetch_next) {
   if (!died.empty() && dead)
     out.boundary_time += comm_.faults().crash_detection_timeout_s;
 
-  // Publish flights whose last shard this step scored. Owners report their
+  // Publish flights whose last needed step this was. Owners report their
   // block's hits (charged as output I/O, after the boundary — the next
   // fence absorbs the imbalance, as with every per-rank cost).
   for (auto it = flights_.begin(); it != flights_.end();) {
     Flight& flight = *it;
-    if (s != flight.first_step + p_ - 1) {
+    if (s != flight.last_step) {
       ++it;
       continue;
     }

@@ -8,10 +8,10 @@
 // counter s advances whenever any batch is in flight, rank i scores shard
 // (i + s) mod p at step s, and every admitted batch is scored against the
 // current shard of the same pass — one shard fetch and one fence per step
-// no matter how many batches ride it. A batch admitted at the boundary
-// before step s has seen all p shards after step s + p − 1 and publishes at
-// that boundary (the incremental top-τ merge makes the result identical to
-// a one-shot search regardless of shard order).
+// no matter how many batches ride it. An unrouted batch admitted at the
+// boundary before step f has seen all p shards after step f + p − 1 and
+// publishes at that boundary (the incremental top-τ merge makes the result
+// identical to a one-shot search regardless of shard order).
 //
 // Shard layout (the mass-routing tentpole): instead of rotating raw
 // database chunks, the service applies Algorithm B's machinery to the
@@ -24,10 +24,19 @@
 // overlaps O(1) bands, so with the exchanged per-band histograms
 // (core/shard_map.hpp) most (block, shard) pairs are *provably* empty and
 // the ring step is skipped at a constant decision cost, while a visited
-// step fetches only the byte range the histogram's prefix sums bound —
-// a few records — instead of a whole shard. With routing off the same
-// bands are fetched whole, one per step, recovering the unrouted
-// continuous-ring baseline. Hits are bit-identical across all of it.
+// step fetches only the byte ranges the histogram's prefix sums bound for
+// each merged query window — a few records — instead of a whole shard.
+// With routing off the same bands are fetched whole, one per step,
+// recovering the unrouted continuous-ring baseline. Hits are bit-identical
+// across all of it.
+//
+// Routed flights are as long as their routed work. Rank r holds band
+// (r + s) mod p at step s, so admit() places each query on the live rank
+// whose ring position reaches the query's needed bands soonest (a query
+// needing bands [b_lo, b_hi] finishes earliest on r = b_lo − f mod p), and
+// the flight publishes after step f + d, where d is the largest ring
+// distance from any member to a band it needs — not after f + p − 1. A
+// batch whose queries sit in one band rides one step.
 //
 // Determinism without control messages: the fence at the end of every step
 // equalizes all ranks' virtual clocks, so any control decision taken at a
@@ -35,7 +44,9 @@
 // schedule, the exchanged shard mass map, published state) is computed
 // identically by every rank. The serving layer (src/serve) exploits that by
 // replicating its controller per rank; this class's step() returns the
-// fence-aligned boundary time the controllers must use as "now".
+// fence-aligned boundary time the controllers must use as "now". Placement
+// and the flight's length are such decisions too, and flight_steps()
+// exposes the length to the scheduler's backfill fit test.
 //
 // Fault compatibility: the service runs on the same transport as Algorithm
 // A's ring (detail::ShardRing, core/shard_ring.hpp), with an unbounded step
@@ -134,18 +145,28 @@ class RingService {
               double route_bucket_da = kServeRouteBucketDa);
 
   /// Admit a closed batch at the current boundary (before the next step()).
-  /// Must be invoked with identical arguments on every rank. The batch's
-  /// queries are block-partitioned over the ranks alive at this boundary;
-  /// each member gathers and prepares its block (prep compute and memory
-  /// are charged here; the next fence re-aligns the clocks).
+  /// Must be invoked with identical arguments on every rank. Routed, each
+  /// query goes to the rank alive at this boundary that reaches its needed
+  /// bands soonest (ties: fewest queries placed so far, then lowest rank;
+  /// a query needing no band goes to the least-loaded member); unrouted,
+  /// the queries are block-partitioned over those ranks. Each member
+  /// gathers and prepares its block (prep compute and memory are charged
+  /// here; the next fence re-aligns the clocks).
   void admit(const ServiceBatch& batch);
 
+  /// Ring steps a batch of `query_ids` admitted at the current boundary
+  /// would ride before it publishes: p unrouted; routed, one more than the
+  /// largest ring distance from a member to a band it needs. Computed from
+  /// global inputs only, so every rank agrees; charges nothing.
+  int flight_steps(std::span<const std::size_t> query_ids) const;
+
   /// Advance the ring one step: make shard (rank + s) mod p resident —
-  /// routed mode fetches only each needed flight's matching record range,
+  /// routed mode fetches only each needed flight's matching record ranges,
   /// unrouted mode fetches the whole band (blocking only after an idle gap;
   /// while batches keep the ring busy the previous step's masked prefetch
   /// already delivered it) — score every in-flight batch's local block
-  /// against it, fence, then publish batches whose last shard this was.
+  /// against it, fence, then publish batches whose last needed step this
+  /// was.
   /// `prefetch_next` is the serving layer's hint that another step is
   /// likely; a wrong hint affects time, never results.
   ServiceStepOutcome step(bool prefetch_next);
@@ -169,12 +190,30 @@ class RingService {
   void finish();
 
  private:
+  /// Where a batch admitted at the current boundary goes: the members, the
+  /// ids with each member's queries contiguous, and what each member must
+  /// visit. A pure function of global inputs.
+  struct Placement {
+    std::vector<int> ranks;          ///< members: ranks alive at admit
+    std::vector<std::size_t> ids;    ///< batch ids, member blocks contiguous
+    std::vector<QueryRange> blocks;  ///< blocks[m]: member m's range of ids
+    /// needs[m * p + shard]: member m's block may hold a candidate in
+    /// `shard` (all ones unrouted).
+    std::vector<std::uint8_t> needs;
+    int span = 0;  ///< last needed step − first step
+    bool route = false;
+  };
+  Placement place(std::span<const std::size_t> query_ids) const;
+
   /// Per-rank state of one batch riding the ring.
   struct Flight {
     std::size_t batch_id = 0;
-    std::vector<std::size_t> ids;  ///< batch query ids (global stream)
-    std::vector<int> ranks;        ///< members: ranks alive at admit
-    int first_step = 0;            ///< first ring step that scores it
+    /// Batch query ids (global stream), each member's block contiguous.
+    std::vector<std::size_t> ids;
+    std::vector<int> ranks;             ///< members: ranks alive at admit
+    std::vector<QueryRange> blocks;     ///< blocks[m]: ranks[m]'s ids
+    int first_step = 0;                 ///< first ring step that scores it
+    int last_step = 0;                  ///< the step after which it publishes
     std::vector<std::size_t> orphaned;  ///< ids lost to crashes (all ranks)
     /// Router verdict per shard for THIS rank's block: 0 = provably no
     /// candidates, skip; 1 = must score. All-ones when routing is off or
@@ -187,18 +226,17 @@ class RingService {
     // This rank's block (empty when not a member):
     QueryRange block;                   ///< range into `ids`
     PreparedQueries prepared;
-    /// The block's query-mass window [min − window_below, max +
-    /// window_above] — what partial fetches of a visited band are clipped
-    /// to.
-    double fetch_lo = 0.0;
-    double fetch_hi = 0.0;
+    /// The block's merged query-mass windows [m − window_below, m +
+    /// window_above] over its queries' hypothesis masses, ascending and
+    /// disjoint — what partial fetches of a visited band are clipped to.
+    std::vector<std::pair<double, double>> windows;
     std::vector<IncrementalTopK<Hit>> tops;  ///< one per block query
     std::size_t alloc_bytes = 0;
   };
 
-  /// Blocking-fetch `shard`'s records matching `flight`'s query window into
-  /// scratch_records_ and return the span to score (the whole resident band
-  /// for the local shard / unrouted path).
+  /// Blocking-fetch `shard`'s records matching `flight`'s query windows
+  /// into scratch_records_ and return the span to score (the whole resident
+  /// band for the local shard / unrouted path).
   std::span<const CandidateRecord> resident_records(int shard, int at_step,
                                                     const Flight& flight);
   /// `flight`'s ids not orphaned by a crash, in batch order.
@@ -223,6 +261,7 @@ class RingService {
   detail::ShardRing ring_;             ///< exposes band_'s raw bytes
   std::vector<char> fetch_buffer_;  ///< routed: partial-fetch target
   std::vector<CandidateRecord> scratch_records_;  ///< fetched-bytes decode
+  std::vector<CandidateRecord> range_records_;    ///< one range's decode
 
   int step_ = 0;
   std::vector<Flight> flights_;

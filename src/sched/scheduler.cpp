@@ -139,8 +139,9 @@ class SchedController {
 
   /// Flights to admit at this boundary: every ready serve batch, then —
   /// when the ring is serve-quiet and the gap fits — backfill chunks from
-  /// the fair-share-ranked batch jobs.
-  std::vector<ServiceBatch> take_dispatch(double now) {
+  /// the fair-share-ranked batch jobs. `ring` sizes each chunk's flight.
+  std::vector<ServiceBatch> take_dispatch(double now,
+                                          const RingService& ring) {
     std::vector<ServiceBatch> out;
     // Serve batches first, in job order (replicated, hence deterministic).
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
@@ -156,17 +157,13 @@ class SchedController {
     if (!serve_quiet) return out;
 
     // Backfill window: with backfill on, a chunk fits iff its predicted
-    // completion (p steps at the EWMA estimate) lands before the next
-    // serve event — computable exactly because every schedule is global.
-    // With backfill off, batch work waits for a serve-free cluster.
+    // completion (its own flight's ring steps at the EWMA step estimate)
+    // lands before the next serve event — computable exactly because every
+    // schedule is global. With backfill off, batch work waits for a
+    // serve-free cluster.
     const double next_serve = next_serve_event();
     while (batch_flights_ < options_.max_inflight_chunks) {
-      const bool fits =
-          options_.backfill
-              ? now + static_cast<double>(comm_.size()) * step_estimate_s_ <=
-                    next_serve
-              : next_serve >= kNever;
-      if (!fits) break;
+      if (!options_.backfill && next_serve < kNever) break;
       const std::size_t j = pick_batch_job();
       if (j == jobs_.size()) break;
       JobRt& job = jobs_[j];
@@ -174,12 +171,14 @@ class SchedController {
       const std::size_t cap = ledger_.spec(job.tenant).max_inflight_queries;
       if (cap != 0)
         take = std::min(take, cap - tenant_inflight(job.tenant));
-      std::vector<std::size_t> ids;
-      ids.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        ids.push_back(job.pending.front());
-        job.pending.pop_front();
-      }
+      const auto end = job.pending.begin() + static_cast<std::ptrdiff_t>(take);
+      std::vector<std::size_t> ids(job.pending.begin(), end);
+      if (options_.backfill &&
+          now + static_cast<double>(ring.flight_steps(ids)) *
+                      step_estimate_s_ >
+              next_serve)
+        break;
+      job.pending.erase(job.pending.begin(), end);
       const bool backfilled = any_serve_live();
       out.push_back(make_flight(j, std::move(ids), now, /*is_serve=*/false,
                                 backfilled));
@@ -587,7 +586,8 @@ void sched_body(sim::Comm& comm, const std::string& fasta_image,
       const std::vector<std::size_t> ids = ring.preempt(victim);
       ctl.requeue_preempted(victim, ids, boundary);
     }
-    for (ServiceBatch& batch : ctl.take_dispatch(boundary)) ring.admit(batch);
+    for (ServiceBatch& batch : ctl.take_dispatch(boundary, ring))
+      ring.admit(batch);
 
     if (ring.in_flight() == 0) {
       if (ctl.drained()) break;

@@ -15,9 +15,10 @@
 // Work placement: all query-backed jobs execute as flights of the one
 // ring. Batch jobs are sliced into fixed-size *chunks* admitted only when
 // the ring has spare capacity — the Slurm-style backfill rule: a chunk is
-// admitted iff its predicted completion (p ring steps at the EWMA step
-// duration) fits before the next serve event, which is computable exactly
-// because arrival schedules are global knowledge. A serve batch becoming
+// admitted iff its predicted completion (the chunk's own flight length,
+// RingService::flight_steps, at the EWMA step duration) fits before the
+// next serve event, which is computable exactly because arrival schedules
+// are global knowledge. A serve batch becoming
 // ready preempts strictly-lower-priority chunks (when enabled): the chunk
 // is removed whole from the ring and its queries re-queued — an *induced
 // recoverable fault* riding the PR-1 crash-recovery contract, which is why
@@ -55,7 +56,7 @@ struct SchedOptions {
   /// becomes ready — the safety net for backfill misprediction.
   bool preempt = true;
   /// Queries per batch chunk (the backfill grain: one chunk = one ring
-  /// flight of p steps).
+  /// flight, p steps unrouted, as many as its routed bands need routed).
   std::size_t chunk_queries = 8;
   /// Cap on batch chunks in flight at once (bounds how much per-step
   /// scoring weight backfill can add under a serve batch).

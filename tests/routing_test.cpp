@@ -4,7 +4,9 @@
 // schedules), the exhaustive skip proof (a routed-away band truly holds no
 // candidate for any skipped query), byte-level determinism of routed runs
 // (hits, report JSON, trace) across reruns, kernel thread counts, and crash
-// re-admission, the histogram wire record's round-trip/fallback/corruption
+// re-admission, early publication (each routed query sits on the rank that
+// reaches its bands soonest and its flight publishes after its last needed
+// band), the histogram wire record's round-trip/fallback/corruption
 // properties, and the router's audit counters in the report schema.
 #include <gtest/gtest.h>
 
@@ -176,6 +178,43 @@ TEST(Routing, OracleMatrixRoutedEqualsUnroutedEqualsReference) {
   }
 }
 
+/// This rank's mass band and the exchanged band map, rebuilt collectively
+/// exactly as the serving ring builds them (same enumeration envelope, same
+/// counting sort, same histogram grid).
+struct ServeBands {
+  std::vector<CandidateRecord> records;
+  ShardMassMap map;
+};
+
+ServeBands serve_bands(sim::Comm& comm, const Workload& w,
+                       const SearchConfig& config) {
+  const SearchEngine engine(config);
+  ProteinDatabase local_db =
+      load_database_shard(w.image, comm.rank(), comm.size());
+
+  // The stream envelope the service enumerates under.
+  double stream_lo = 1e30;
+  double stream_hi = -1e30;
+  for (const Spectrum& query : w.queries)
+    for (const double mass : engine.hypothesis_masses(query)) {
+      stream_lo = std::min(stream_lo, mass);
+      stream_hi = std::max(stream_hi, mass);
+    }
+  std::vector<CandidateRecord> records = enumerate_candidate_records(
+      local_db, config, stream_lo - config.window_below(),
+      stream_hi + config.window_above());
+  ServeBands bands;
+  bands.records = sort_candidate_records_by_mass(comm, std::move(records));
+
+  std::vector<double> masses;
+  masses.reserve(bands.records.size());
+  for (const CandidateRecord& record : bands.records)
+    masses.push_back(record.mass);
+  bands.map = ShardMassMap::exchange(
+      comm, MassHistogram::build(masses, kServeRouteBucketDa));
+  return bands;
+}
+
 // ---------------------------------------------------------------------------
 // The skip proof, checked against ground truth: rebuild the service's band
 // layout collectively, then for every (query, band) the map routes away,
@@ -196,29 +235,9 @@ TEST(Routing, SkippedShardsContainNoCandidatesExhaustive) {
 
   runtime.run([&](sim::Comm& comm) {
     const auto rank = static_cast<std::size_t>(comm.rank());
-    ProteinDatabase local_db =
-        load_database_shard(w.image, comm.rank(), p);
-
-    // The stream envelope the service enumerates under.
-    double stream_lo = 1e30;
-    double stream_hi = -1e30;
-    for (const Spectrum& query : w.queries)
-      for (const double mass : engine.hypothesis_masses(query)) {
-        stream_lo = std::min(stream_lo, mass);
-        stream_hi = std::max(stream_hi, mass);
-      }
-    std::vector<CandidateRecord> records = enumerate_candidate_records(
-        local_db, config, stream_lo - config.tolerance_da,
-        stream_hi + config.tolerance_da);
-    const std::vector<CandidateRecord> band =
-        sort_candidate_records_by_mass(comm, std::move(records));
-
-    std::vector<double> masses;
-    masses.reserve(band.size());
-    for (const CandidateRecord& record : band) masses.push_back(record.mass);
-    const MassHistogram histogram =
-        MassHistogram::build(masses, kServeRouteBucketDa);
-    const ShardMassMap map = ShardMassMap::exchange(comm, histogram);
+    const ServeBands bands = serve_bands(comm, w, config);
+    const std::vector<CandidateRecord>& band = bands.records;
+    const ShardMassMap& map = bands.map;
 
     for (const Spectrum& query : w.queries) {
       const std::vector<double> hyp = engine.hypothesis_masses(query);
@@ -269,13 +288,15 @@ TEST(Routing, SkippedShardsContainNoCandidatesExhaustive) {
 
 TEST(Routing, ByteIdenticalAcrossRerunsThreadsAndCrashes) {
   const Workload& w = workload(false);
+  // A 3 Da window gives flights that span several bands, so the crash at
+  // step 3 lands while rank 3 still holds a block of one.
   sim::FaultModel faults;
-  faults.crash(2, 3);
+  faults.crash(3, 3);
   sim::Runtime runtime(5, {}, {}, faults);
   runtime.enable_tracing();
 
   auto run_with_threads = [&](std::size_t threads) {
-    SearchConfig config = make_config(0.05);
+    SearchConfig config = make_config(3.0);
     config.kernel_threads = threads;
     return serve::run_service(runtime, w.image, w.queries, config,
                               service_options(true));
@@ -300,6 +321,195 @@ TEST(Routing, ByteIdenticalAcrossRerunsThreadsAndCrashes) {
     EXPECT_EQ(other->steps_visited, a.steps_visited);
     EXPECT_EQ(other->steps_skipped, a.steps_skipped);
     EXPECT_EQ(other->makespan_s, a.makespan_s);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Early publication: a routed flight is as long as its routed work. Rank r
+// holds band (r + s) mod p at step s, so a query needing bands B is done on
+// r after reach(r) = max over b in B of (b − r − f) mod p steps past the
+// admit step f. Each query must sit on the live rank with the smallest
+// reach (lowest rank on a tie — single-query batches place nothing else),
+// and a flight must publish at f + its largest placed reach. The expected
+// values are recomputed here from an independently exchanged band map;
+// which rank holds a query is read off the memory its block charges.
+
+int ring_reach(int rank, int first_step, const std::vector<int>& bands,
+               int p) {
+  int reach = 0;
+  for (const int band : bands)
+    reach = std::max(reach, ((band - rank - first_step) % p + p) % p);
+  return reach;
+}
+
+struct FlightProbe {
+  std::vector<std::size_t> ids;
+  int first_step = 0;
+  int flight_steps = 0;       ///< RingService::flight_steps before admit
+  int expected_steps = 0;     ///< 1 + max over ids of the least live reach
+  int published_step = -1;    ///< the step whose outcome published it
+  int expected_member = -1;   ///< single-query batches: soonest live rank
+  int preferred_member = -1;  ///< the same, ignoring deaths
+  std::vector<int> holders;   ///< ranks whose memory grew at admit
+};
+
+struct ProbeRun {
+  std::vector<FlightProbe> flights;
+  QueryHits hits;
+};
+
+/// Admit `w`'s queries to a RingService one batch of `batch_size` at a
+/// time, stepping each flight to publication before the next. `dead` names
+/// a rank the fault schedule kills at step 0 (-1: none).
+ProbeRun probe_flights(const Workload& w, const SearchConfig& config, int p,
+                       bool routing, std::size_t batch_size, int dead) {
+  sim::FaultModel faults;
+  if (dead >= 0) faults.crash(dead, 0);
+  const sim::Runtime runtime(p, {}, {}, faults);
+  const SearchEngine engine(config);
+  const std::size_t n = w.queries.size();
+  const std::size_t flight_count = (n + batch_size - 1) / batch_size;
+
+  ProbeRun run;
+  run.hits.resize(n);
+  run.flights.resize(flight_count);
+  std::vector<std::vector<int>> held(
+      flight_count, std::vector<int>(static_cast<std::size_t>(p), 0));
+  runtime.run([&](sim::Comm& comm) {
+    const ServeBands bands = serve_bands(comm, w, config);
+    RingService ring(comm, w.image,
+                     std::span<const Spectrum>(w.queries.data(), n), engine,
+                     run.hits, routing);
+    for (std::size_t f = 0; f < flight_count; ++f) {
+      FlightProbe probe;
+      const std::size_t end = std::min(n, (f + 1) * batch_size);
+      for (std::size_t q = f * batch_size; q < end; ++q)
+        probe.ids.push_back(q);
+      probe.first_step = ring.steps_done();
+      probe.flight_steps = ring.flight_steps(probe.ids);
+      int span = 0;
+      for (const std::size_t q : probe.ids) {
+        std::vector<int> need;
+        const std::vector<double> masses =
+            engine.hypothesis_masses(w.queries[q]);
+        for (int band = 0; band < p; ++band)
+          if (bands.map.needed(band, masses, config.window_below(),
+                               config.window_above()))
+            need.push_back(band);
+        int best = -1;
+        int best_reach = p;
+        int preferred = -1;
+        int preferred_reach = p;
+        for (int r = 0; r < p; ++r) {
+          const int reach = ring_reach(r, probe.first_step, need, p);
+          if (reach < preferred_reach) {
+            preferred = r;
+            preferred_reach = reach;
+          }
+          if (r != dead && reach < best_reach) {
+            best = r;
+            best_reach = reach;
+          }
+        }
+        span = std::max(span, best_reach);
+        probe.expected_member = best;
+        probe.preferred_member = preferred;
+      }
+      probe.expected_steps = routing ? span + 1 : p;
+
+      const std::size_t before = comm.current_memory();
+      ring.admit(ServiceBatch{f, probe.ids});
+      if (comm.current_memory() > before)
+        held[f][static_cast<std::size_t>(comm.rank())] = 1;
+      while (ring.in_flight() > 0) {
+        const ServiceStepOutcome out = ring.step(false);
+        if (!out.published.empty()) probe.published_step = out.step;
+      }
+      if (comm.rank() == 0) run.flights[f] = std::move(probe);
+    }
+    ring.finish();
+  });
+  for (std::size_t f = 0; f < flight_count; ++f)
+    for (int r = 0; r < p; ++r)
+      if (held[f][static_cast<std::size_t>(r)])
+        run.flights[f].holders.push_back(r);
+  return run;
+}
+
+TEST(EarlyPublication, RoutedFlightsPublishAtTheirLastNeededStep) {
+  const Workload& w = workload(false);
+  for (const int p : {4, 5, 16}) {
+    for (const std::size_t threads : {1u, 3u}) {
+      SearchConfig config = make_config(3.0);
+      config.kernel_threads = threads;
+      const QueryHits reference = reference_hits(w, config);
+      for (const std::size_t batch : {1u, 4u}) {
+        const std::string cell = "p=" + std::to_string(p) + " threads=" +
+                                 std::to_string(threads) + " batch=" +
+                                 std::to_string(batch);
+        const ProbeRun run = probe_flights(w, config, p, true, batch, -1);
+        std::size_t short_flights = 0;
+        for (const FlightProbe& flight : run.flights) {
+          EXPECT_EQ(flight.flight_steps, flight.expected_steps) << cell;
+          EXPECT_EQ(flight.published_step,
+                    flight.first_step + flight.expected_steps - 1)
+              << cell;
+          if (flight.expected_steps < p) ++short_flights;
+          // Each query sits on the member that reaches its bands soonest.
+          if (batch == 1) {
+            EXPECT_EQ(flight.holders, std::vector<int>{flight.expected_member})
+                << cell << " query " << flight.ids.front();
+          }
+        }
+        EXPECT_GT(short_flights, 0u) << cell;
+        expect_hits_identical(run.hits, reference, cell);
+      }
+    }
+  }
+}
+
+TEST(EarlyPublication, UnroutedFlightsStillTakePSteps) {
+  const Workload& w = workload(false);
+  for (const int p : {4, 5, 16}) {
+    for (const std::size_t threads : {1u, 3u}) {
+      SearchConfig config = make_config(3.0);
+      config.kernel_threads = threads;
+      const std::string cell =
+          "p=" + std::to_string(p) + " threads=" + std::to_string(threads);
+      const ProbeRun run = probe_flights(w, config, p, false, 4, -1);
+      for (const FlightProbe& flight : run.flights) {
+        EXPECT_EQ(flight.flight_steps, p) << cell;
+        EXPECT_EQ(flight.published_step, flight.first_step + p - 1) << cell;
+      }
+      expect_hits_identical(run.hits, reference_hits(w, config), cell);
+    }
+  }
+}
+
+TEST(EarlyPublication, DeadPlacementTargetFallsBackToNextSoonestLiveMember) {
+  const Workload& w = workload(false);
+  const int dead = 1;
+  for (const int p : {4, 5, 16}) {
+    for (const std::size_t threads : {1u, 3u}) {
+      SearchConfig config = make_config(3.0);
+      config.kernel_threads = threads;
+      const std::string cell =
+          "p=" + std::to_string(p) + " threads=" + std::to_string(threads);
+      const ProbeRun run = probe_flights(w, config, p, true, 1, dead);
+      std::size_t fallbacks = 0;
+      for (const FlightProbe& flight : run.flights) {
+        EXPECT_NE(flight.expected_member, dead) << cell;
+        EXPECT_EQ(flight.holders, std::vector<int>{flight.expected_member})
+            << cell << " query " << flight.ids.front();
+        EXPECT_EQ(flight.published_step,
+                  flight.first_step + flight.expected_steps - 1)
+            << cell;
+        if (flight.preferred_member == dead) ++fallbacks;
+      }
+      // Vacuous unless some query's soonest rank was the dead one.
+      EXPECT_GT(fallbacks, 0u) << cell;
+      expect_hits_identical(run.hits, reference_hits(w, config), cell);
+    }
   }
 }
 

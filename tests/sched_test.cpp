@@ -48,7 +48,7 @@ struct Fixture {
     q_options.digest.max_length = 25;
     queries = spectra_of(generate_queries(db, q_options));
 
-    config.tolerance_da = 3.0;
+    config.tolerance_da = 25.0;
     config.tau = 6;
     config.min_candidate_length = 4;
     config.max_candidate_length = 60;
@@ -131,7 +131,8 @@ sched::SchedOptions default_mix() {
 
 /// A mix tuned so preemption provably fires: the optimistic initial step
 /// estimate lets backfill admit chunks at t = 0, the serve job submits
-/// mid-flight (a fixture flight spans ~13 virtual ms), and its first burst
+/// mid-flight (the fixture's 25 Da window makes a chunk's flight span
+/// several bands, so it outlasts the first step), and its first burst
 /// closes a high-priority batch that evicts the chunks on the spot.
 sched::SchedOptions preempting_mix() {
   sched::SchedOptions options = default_mix();
@@ -334,6 +335,58 @@ TEST(Sched, BackfillReclaimsServeIdle) {
   // completed, so sharing the gaps finishes the mix sooner.
   EXPECT_GE(strict.jobs[1].start_s, strict.jobs[0].complete_s);
   EXPECT_LT(result.makespan_s, strict.makespan_s);
+}
+
+// A backfill chunk is sized by its own flight: a chunk whose query sits in
+// one mass band rides one ring step, so it fits a serve gap of 1.5 step
+// estimates that p estimates would not. Unrouted, a flight still takes p
+// steps, so the same chunk waits for the serve session.
+
+TEST(Sched, OneStepChunkFitsAGapThatPStepsWouldNot) {
+  const Fixture& f = fixture();
+  SearchConfig narrow = f.config;
+  narrow.tolerance_da = 0.05;
+  const QueryHits serial = SearchEngine(narrow).search(f.db, f.queries);
+  constexpr double kStepEstimate = 0.05;
+  for (const int p : {4, 5, 16}) {
+    for (const std::size_t threads : {1u, 3u}) {
+      for (const bool routing : {true, false}) {
+        const std::string cell = "p=" + std::to_string(p) + " threads=" +
+                                 std::to_string(threads) +
+                                 (routing ? " routed" : " unrouted");
+        SearchConfig config = narrow;
+        config.kernel_threads = threads;
+        const sim::Runtime runtime(p);
+        sched::SchedOptions options;
+        options.tenants = {{"acme", 1.0, 0}, {"zeta", 1.0, 0}};
+        options.jobs.push_back(
+            batch_job("scan", "zeta", 0, 12, sched::Priority::kLow));
+        options.chunk_queries = 1;
+        options.max_inflight_chunks = 1;
+        options.step_estimate_init_s = kStepEstimate;
+        options.mass_routing = routing;
+        // The first boundary: where the batch job alone starts.
+        const double first_boundary =
+            sched::run_sched(runtime, f.image, f.queries, config, options)
+                .jobs[0]
+                .start_s;
+
+        const double submit = first_boundary + 1.5 * kStepEstimate;
+        ASSERT_LT(submit, first_boundary + p * kStepEstimate) << cell;
+        options.jobs.push_back(serve_job("frontend", "acme", 12, 36));
+        options.jobs.back().submit_s = submit;
+        const sched::SchedResult result =
+            sched::run_sched(runtime, f.image, f.queries, config, options);
+        EXPECT_EQ(result.completed, f.queries.size()) << cell;
+        expect_hits_equal(result.hits, serial, cell);
+        if (routing) {
+          EXPECT_EQ(result.jobs[0].start_s, first_boundary) << cell;
+        } else {
+          EXPECT_GE(result.jobs[0].start_s, submit) << cell;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -244,7 +244,7 @@ TEST(Service, CrashOrphansAreReadmittedAndComplete) {
   const Fixture& f = fixture();
   const int p = 5;
   sim::FaultModel faults;
-  faults.crash(2, 3);  // rank 2 dies at service ring step 3, mid-flight
+  faults.crash(2, 2);  // rank 2 dies at service ring step 2, mid-flight
   const sim::Runtime runtime(p, {}, {}, faults);
 
   const serve::ServiceResult result = serve::run_service(
